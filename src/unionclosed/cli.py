@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 for success or an affirmative answer, 1 for a legitimate
 negative answer, 2 for usage or data errors, 3 for refused resource
-guards. In --json mode each command prints exactly one JSON document on
+guards, 4 for an internal error (a fault of this program, never a
+verdict). In --json mode each command prints exactly one JSON document on
 stdout; timing notes go to stderr so identical inputs give identical
 stdout bytes.
 """
@@ -386,6 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     except (FamilyFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 is a proven negative answer, so a fault must not surface
+        # as an uncaught exception, which the interpreter reports as 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def run() -> None:

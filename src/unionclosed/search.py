@@ -20,10 +20,11 @@ sorted, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations, product
-from typing import NamedTuple, Sequence
+from itertools import chain, permutations, product
+from typing import Callable, NamedTuple, Sequence
 
 from .certificates import Certificate, find_certificate, verify_certificate
 from .family import (
@@ -41,7 +42,8 @@ from .family import (
 # The orientation space grows like 3**(n choose 2); 10 is where exhausting
 # it stops being a coffee-break job even with the budget pruning.
 SEARCH_CAP = 10
-# Relabeling orbits are deduplicated by brute force over n! permutations.
+# Canonical dedup tries every relabeling that keeps each element inside its
+# invariant cell; when all elements share one cell that is all n! of them.
 CANONICAL_CAP = 8
 # The all-families sweep walks 2**(2**n) families.
 ENUMERATION_CAP = 4
@@ -298,7 +300,7 @@ def minimal_counterexample() -> CounterexampleReport:
 def _search_solutions(
     n: int,
     missing: tuple[tuple[int, int], ...],
-    prefix: tuple[int, ...] | None,
+    prefix: tuple[int, ...],
     sink: list,
 ) -> None:
     """Backtrack over co-atom member orientations, then pair-member contents.
@@ -383,7 +385,7 @@ def _search_solutions(
     if total + npairs > max_total - reserved:
         return
 
-    plen = len(prefix) if prefix is not None else 0
+    plen = len(prefix)
 
     def assign_pair_members() -> None:
         budget = [cap - outdeg[v] for v in range(n)]
@@ -513,6 +515,19 @@ def _search_solutions(
     descend(0)
 
 
+def _run_jobs(func: Callable, jobs_for: Callable[[int], list], workers: int) -> list:
+    """func over the jobs that jobs_for(w) splits the work into, in job order.
+
+    w is workers clamped to the CPU count. A single job runs in this
+    process; more go to a process pool with one worker per job.
+    """
+    jobs = jobs_for(min(workers, os.cpu_count() or 1))
+    if len(jobs) == 1:
+        return [func(jobs[0])]
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        return list(pool.map(func, jobs))
+
+
 def _search_chunk(args: tuple[int, tuple[tuple[int, int], ...], list]) -> list:
     n, missing, prefixes = args
     sink: list = []
@@ -535,38 +550,43 @@ def _solution_report(
     return CounterexampleReport.from_parts(family, Certificate(n, tuple(pairs)))
 
 
-_PERM_WEIGHTS: dict = {}
-
-
 def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Lexicographically least sorted member tuple over all relabelings."""
-    import numpy as np
+    """A complete relabeling invariant: equal keys iff the families are
+    relabelings of each other.
 
+    Elements are split into cells by a signature that relabeling cannot
+    change (the sorted sizes of the members holding the element, then its
+    sorted co-occurrence counts with every other element), and the cells
+    take consecutive blocks of positions in signature order. The key is
+    the least sorted member tuple over the relabelings that send each cell
+    onto its own block. Every such relabeling of a relabeled family is a
+    cell-respecting relabeling of the original, so both reach the same
+    least tuple.
+    """
     if n > CANONICAL_CAP:
         raise ResourceLimitError(
             f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
-    weights = _PERM_WEIGHTS.get(n)
-    if weights is None:
-        weights = np.array(
-            [[1 << p[i] for i in range(n)] for p in permutations(range(n))],
-            dtype=np.int64,
+    cells: dict[tuple, list[int]] = {}
+    for e in range(n):
+        holding = [m for m in members if m >> e & 1]
+        signature = (
+            tuple(sorted(m.bit_count() for m in holding)),
+            tuple(sorted(sum(m >> f & 1 for m in holding) for f in range(n) if f != e)),
         )
-        _PERM_WEIGHTS[n] = weights
-    bits = np.array(
-        [[(mask >> i) & 1 for i in range(n)] for mask in members], dtype=np.int64
+        cells.setdefault(signature, []).append(e)
+    blocks = [permutations(cells[sig]) for sig in sorted(cells)]
+    # order[pos] is the element that moves to position pos
+    orders = (tuple(chain.from_iterable(a)) for a in product(*blocks))
+    return min(
+        tuple(
+            sorted(
+                sum(1 << pos for pos, e in enumerate(order) if m >> e & 1)
+                for m in members
+            )
+        )
+        for order in orders
     )
-    values = bits @ weights.T  # one column of relabeled masks per permutation
-    values.sort(axis=0)
-    # Lexicographic argmin over the columns by filtering row by row; the
-    # candidate set collapses to a handful after the first rows.
-    live = np.arange(values.shape[1])
-    for row in range(values.shape[0]):
-        vals = values[row, live]
-        live = live[vals == vals.min()]
-        if live.size == 1:
-            break
-    return tuple(int(x) for x in values[:, live[0]])
 
 
 def _dedupe_canonical(reports: list[CounterexampleReport]) -> list[CounterexampleReport]:
@@ -606,16 +626,16 @@ def search_counterexamples(
         raise ValueError("limit must be nonnegative")
     missing = shape.missing_pairs
     free_count = n * (n - 1) // 2 - len(missing)
-    if workers == 1 or free_count == 0:
-        solutions: list = []
-        _search_solutions(n, missing, None, solutions)
-    else:
-        span = min(free_count, 7)
+
+    def jobs_for(w: int) -> list:
+        # Several workers deal out the 3**7 choices of the first seven free
+        # pairs; one worker runs the whole space under the empty prefix.
+        span = min(free_count, 7) if w > 1 else 0
         prefixes = list(product((0, 1, 2), repeat=span))
-        chunks = [prefixes[k::workers] for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_search_chunk, [(n, missing, c) for c in chunks])
-            solutions = [sol for part in parts for sol in part]
+        return [(n, missing, prefixes[k::w]) for k in range(min(w, len(prefixes)))]
+
+    parts = _run_jobs(_search_chunk, jobs_for, workers)
+    solutions = [sol for part in parts for sol in part]
     reports = [_solution_report(shape, sol) for sol in solutions]
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
     if canonical:
@@ -667,17 +687,16 @@ def conjecture_sweep(n: int, workers: int = 1) -> SweepSummary:
         raise ValueError("workers must be at least 1")
     count = 1 << (1 << n)
     scanned = count - 2
-    if workers == 1:
-        certified, bad = _sweep_chunk((n, 2, count))
-    else:
-        bounds = [2 + (count - 2) * k // workers for k in range(workers + 1)]
-        jobs = [(n, bounds[k], bounds[k + 1]) for k in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            certified = 0
-            bad = []
-            for part_certified, part_bad in pool.map(_sweep_chunk, jobs):
-                certified += part_certified
-                bad.extend(part_bad)
+
+    def jobs_for(w: int) -> list:
+        bounds = [2 + scanned * k // w for k in range(w + 1)]
+        return [(n, bounds[k], bounds[k + 1]) for k in range(w)]
+
+    certified = 0
+    bad: list[tuple[int, ...]] = []
+    for part_certified, part_bad in _run_jobs(_sweep_chunk, jobs_for, workers):
+        certified += part_certified
+        bad.extend(part_bad)
     violations = tuple(Family(n, members) for members in sorted(bad))
     return SweepSummary(n, scanned, certified, violations)
 

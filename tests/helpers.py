@@ -102,6 +102,16 @@ def _assign(members, images, chosen) -> bool:
     return False
 
 
+def canonical_form(sets, n: int) -> tuple[tuple[int, ...], ...]:
+    """Least relabeled form over all n! permutations of [n]: each member
+    as a sorted element tuple, the members sorted. Two families are
+    relabelings of each other exactly when their forms are equal."""
+    return min(
+        tuple(sorted(tuple(sorted(perm[x - 1] for x in s)) for s in sets))
+        for perm in itertools.permutations(range(1, n + 1))
+    )
+
+
 def all_tournaments(k: int):
     """Every orientation of the complete graph on k vertices, emitted as
     1-based adjacency rows (bit j-1 of rows[i-1] set iff edge i -> j)."""

@@ -2,8 +2,9 @@
 
 Exit code contract: 0 for an affirmative outcome, 1 for a legitimate
 negative one, 2 for usage or data errors, 3 for refused resource
-guards. Everything runs in-process through main() except one smoke test
-of the installed entry points.
+guards, 4 for an internal error. Everything runs in-process through
+main() except a run without numpy and one smoke test of the installed
+entry points.
 """
 
 import json
@@ -153,6 +154,22 @@ def test_certify_refuses_oversized_decision(family_file, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_certify_power_set_never_claims_no_certificate(family_file, capsys):
+    # 1024 members, one level of find_certificate's recursion each; the
+    # identity pairing is a certificate, so exit 1 would be a false proof
+    sets = [[e for e in range(1, 11) if code >> (e - 1) & 1] for code in range(1 << 10)]
+    fam = family_file("p10.json", {"ground": 10, "sets": sets})
+    code = main(["certify", fam, "--json"])
+    captured = capsys.readouterr()
+    assert code != 1
+    assert "Traceback" not in captured.err
+    if code == 0:
+        cert = Certificate.from_dict(json.loads(captured.out)["certificate"])
+        assert verify_certificate(Family.from_dict({"ground": 10, "sets": sets}), cert)
+    else:
+        assert code == 4 and captured.err.startswith("internal error: ")
+
+
 # ---------------------------------------------------------------- search
 
 
@@ -171,6 +188,19 @@ def test_search_with_limit_reports_verify(capsys):
     assert payload["shape"] == {"ground": 8, "pairs": [[1, 2], [3, 4]]}
     for raw in payload["reports"]:
         CounterexampleReport.from_dict(raw)  # loudly re-verifies
+
+
+def test_canonical_search_runs_without_numpy():
+    program = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from unionclosed.cli import main\n"
+        "sys.exit(main(['search', '--n', '8', '--pairs', '1,2:3,4',"
+        " '--canonical', '--json']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 7
 
 
 @pytest.mark.parametrize("pairs", ["1,2:3", "1;2", "1,x", "0,2"])

@@ -11,6 +11,7 @@ preserve the missing-pair structure.
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unionclosed import (
     CANONICAL_CAP,
@@ -36,7 +37,8 @@ from unionclosed import (
     search_counterexamples,
     verify_certificate,
 )
-from helpers import as_sets, brute_certificate_exists
+from unionclosed.search import _canonical_key
+from helpers import as_sets, brute_certificate_exists, canonical_form
 
 TWO_PAIRS = SearchShape(8, ((1, 2), (3, 4)))
 
@@ -243,6 +245,55 @@ def test_two_pair_search_finds_every_labeled_family():
     assert seen == families
 
 
+def test_canonical_key_separates_every_orbit_on_ground_three():
+    by_key: dict = {}
+    by_form: dict = {}
+    for code in range(1 << 8):
+        members = tuple(m for m in range(8) if code >> m & 1)
+        by_key.setdefault(_canonical_key(members, 3), set()).add(code)
+        by_form.setdefault(canonical_form(as_sets(Family(3, members)), 3), set()).add(code)
+    assert len(by_form) == 80  # relabeling classes of families on [3]
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_form.values()))
+
+
+@st.composite
+def families_with_relabeling(draw):
+    n = draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    first = tuple(sorted(draw(st.sets(masks, max_size=8))))
+    second = tuple(sorted(draw(st.sets(masks, max_size=8))))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return n, first, second, perm
+
+
+@settings(deadline=None)
+@given(families_with_relabeling())
+def test_canonical_key_is_a_complete_relabeling_invariant(case):
+    n, first, second, perm = case
+    key = _canonical_key(first, n)
+    assert _canonical_key(relabel(first, n, perm), n) == key
+    same_orbit = canonical_form(as_sets(Family(n, first)), n) == canonical_form(
+        as_sets(Family(n, second)), n
+    )
+    assert (_canonical_key(second, n) == key) == same_orbit
+
+
+def test_canonical_key_searches_a_single_cell():
+    # Each family below puts all eight elements in one invariant cell, so
+    # the key has to try every relabeling of that cell.
+    symmetric = tuple(sorted([0, 0xFF] + [1 << i for i in range(8)]))
+    cycle = tuple(sorted((1 << i) | (1 << (i + 1) % 8) for i in range(8)))
+    two_squares = tuple(
+        sorted((1 << (b + i)) | (1 << (b + (i + 1) % 4)) for b in (0, 4) for i in range(4))
+    )
+    perm = (3, 8, 1, 6, 2, 7, 5, 4)
+    # every relabeling fixes the symmetric family, so it is its own key
+    assert _canonical_key(relabel(symmetric, 8, perm), 8) == symmetric
+    assert relabel(cycle, 8, perm) != cycle
+    assert _canonical_key(relabel(cycle, 8, perm), 8) == _canonical_key(cycle, 8)
+    assert _canonical_key(two_squares, 8) != _canonical_key(cycle, 8)
+
+
 def test_search_limit_truncates_the_sorted_list():
     full = search_counterexamples(TWO_PAIRS)
     assert search_counterexamples(TWO_PAIRS, limit=3) == full[:3]
@@ -253,6 +304,41 @@ def test_search_worker_count_does_not_change_results():
     assert search_counterexamples(TWO_PAIRS, workers=3) == search_counterexamples(
         TWO_PAIRS
     )
+
+
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process and
+    records the max_workers it was asked for."""
+    sizes: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return map(func, jobs)
+
+    monkeypatch.setattr("unionclosed.search.ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus, pool_sizes", [(3, [3, 3]), (None, [])])
+def test_worker_count_is_clamped_to_the_cpu_count(
+    serial_pool, monkeypatch, cpus, pool_sizes
+):
+    shape = SearchShape(7, ((1, 2), (3, 4), (5, 6)))
+    expected = (search_counterexamples(shape), conjecture_sweep(2))
+    monkeypatch.setattr("unionclosed.search.os.cpu_count", lambda: cpus)
+    assert search_counterexamples(shape, workers=10**6) == expected[0]
+    assert conjecture_sweep(2, workers=10**6) == expected[1]
+    assert serial_pool == pool_sizes
 
 
 def test_infeasible_shapes_come_back_empty():
