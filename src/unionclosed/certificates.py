@@ -9,14 +9,18 @@ A certificate pairs every member A of a family with an image F_A so that
 
 Verification names the first violated clause instead of returning a bare
 bool, so broken certificates can be loaded and diagnosed. The searcher
-decides existence exhaustively for ground sizes up to DECISION_CAP and
-is deterministic: same family in, same certificate out.
+decides existence exhaustively for ground sizes up to DECISION_CAP, by a
+depth-first search on an explicit stack that prunes repeated images,
+interval clashes, images too small for the family size, an up-closure
+past the family size and an overfull volume budget. It is deterministic:
+same family in, same certificate out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 from .family import (
     MAX_GROUND,
@@ -186,32 +190,26 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
     return CertificateVerdict(True, None, None)
 
 
-_SUPERSET_LISTS: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _superset_candidates(mask: int, ground_size: int) -> tuple[int, ...]:
     """Supersets of mask, smallest first (by size, then numeric value)."""
-    key = (ground_size, mask)
-    got = _SUPERSET_LISTS.get(key)
-    if got is None:
-        got = tuple(
-            sorted(iter_supersets(mask, ground_size), key=lambda s: (s.bit_count(), s))
-        )
-        _SUPERSET_LISTS[key] = got
-    return got
+    return tuple(
+        sorted(iter_supersets(mask, ground_size), key=lambda s: (s.bit_count(), s))
+    )
 
 
 def find_certificate(fam: Family) -> Certificate | None:
     """Exhaustively decide certificate existence, returning one witness.
 
     Members are processed largest first; candidate images for a member
-    run from the member itself upward. A branch dies as soon as a chosen
-    image repeats, clashes with an assigned interval, pushes the running
-    up-closure of the images past the family size, adds a closure set no
-    remaining member fits under, or overfills the interval volume budget
-    sum(2**(|F| - |A|)) <= 2**n. All orders are fixed, so the outcome and
-    the returned witness are deterministic. None means a proof of
-    nonexistence, not a giving-up.
+    run from the member itself upward, skipping those too small to head
+    an m-set filter. A branch dies as soon as a chosen image repeats,
+    clashes with an assigned interval, pushes the running up-closure of
+    the images past the family size, or overfills the interval volume
+    budget sum(2**(|F| - |A|)) <= 2**n. The depth-first search runs on an
+    explicit stack, so the member count sets no recursion limit. All
+    orders are fixed, so the outcome and the returned witness are
+    deterministic. None means a proof of nonexistence, not a giving-up.
     """
     n = fam.ground_size
     if n > DECISION_CAP:
@@ -224,91 +222,74 @@ def find_certificate(fam: Family) -> Certificate | None:
     # An image with more than m supersets can never sit inside an m-set
     # filter, so candidates below that size are dead from the start.
     min_size = max(0, n - (m.bit_length() - 1))
-    cand: dict[int, tuple[int, ...]] = {}
-    for a in members:
-        lst = _superset_candidates(a, n)
-        start = 0
-        while start < len(lst) and lst[start].bit_count() < min_size:
-            start += 1
-        cand[a] = lst[start:]
-    assigned_a: list[int] = []
-    assigned_f: list[int] = []
+    cand = [
+        tuple(f for f in _superset_candidates(a, n) if f.bit_count() >= min_size)
+        for a in members
+    ]
+    # chosen[k] is the image of members[k], its interval volume and the
+    # closure sets it added, kept so the choice can be undone.
+    chosen: list[tuple[int, int, list[int]]] = []
     used: set[int] = set()
     closure: set[int] = set()
     volume = 0
 
-    def extend(k: int) -> bool:
-        nonlocal volume
-        if k == m:
-            return True
-        # Feasibility sweep. The final images are exactly the final closure,
-        # owned bijectively, so every unused closure set needs a remaining
-        # member inside it, and every remaining member that fits under no
-        # unused closure set will mint a new closure set; the closure has
-        # only m slots.
-        remaining = members[k:]
-        fits = 0  # bit i set: remaining[i] can take an unused closure set
-        for s in closure:
-            if s in used:
-                continue
-            owners = 0
-            for bi, b in enumerate(remaining):
-                if (b & ~s) == 0:
-                    owners |= 1 << bi
-            if not owners:
-                return False
-            fits |= owners
-        needed_new = len(remaining) - fits.bit_count()
-        if len(closure) + needed_new > m:
-            return False
+    def live(k: int) -> Iterator[tuple[int, int, list[int]]]:
+        """The images members[k] can take, read against the current state.
+
+        A level is resumed only after every choice below it is undone, so
+        the state it reads is the one it was started in.
+        """
         a = members[k]
-        room = space - (len(remaining) - 1)
-        clen = len(closure)
-        for f in cand[a]:
+        a_size = a.bit_count()
+        room = space - (m - k - 1)
+        # [a, f] meets an assigned [b, g] exactly when a <= g and b <= f.
+        above = [b for b, (g, _, _) in zip(members, chosen) if a & ~g == 0]
+        for f in cand[k]:
             if f in used:
                 continue
             clash = False
-            for idx in range(k):
-                if (a & ~assigned_f[idx]) == 0 and (assigned_a[idx] & ~f) == 0:
+            for b in above:
+                if b & ~f == 0:
                     clash = True
                     break
             if clash:
                 continue
-            vol = 1 << (f.bit_count() - a.bit_count())
+            vol = 1 << (f.bit_count() - a_size)
             if volume + vol > room:
                 # Candidates only grow, so every later image is too big.
                 break
             if f in closure:
                 # The closure is up-closed, so up(f) is already inside it.
-                new_masks: tuple[int, ...] | list[int] = ()
-            else:
-                if clen >= m:
-                    continue
-                new_masks = [
-                    s for s in _superset_candidates(f, n) if s not in closure
-                ]
-                if clen + len(new_masks) > m:
-                    continue
-            assigned_a.append(a)
-            assigned_f.append(f)
-            used.add(f)
-            closure.update(new_masks)
-            volume += vol
-            if extend(k + 1):
-                return True
-            volume -= vol
-            closure.difference_update(new_masks)
-            used.discard(f)
-            assigned_f.pop()
-            assigned_a.pop()
-        return False
+                yield f, vol, []
+            elif len(closure) < m:
+                new = [s for s in _superset_candidates(f, n) if s not in closure]
+                if len(closure) + len(new) <= m:
+                    yield f, vol, new
 
-    if extend(0):
-        # The closure prune bounds |closure| by m and distinct images force
-        # |closure| >= m, so the images are exactly their own up-closure.
-        assert len(closure) == m
-        return Certificate(n, tuple(zip(assigned_a, assigned_f)))
-    return None
+    levels: list[Iterator[tuple[int, int, list[int]]]] = []
+    while len(chosen) < m:
+        if len(levels) == len(chosen):
+            levels.append(live(len(chosen)))
+        step = next(levels[-1], None)
+        if step is None:
+            # This member has no image left: undo its predecessor's choice.
+            levels.pop()
+            if not chosen:
+                return None
+            f, vol, new = chosen.pop()
+            used.discard(f)
+            closure.difference_update(new)
+            volume -= vol
+            continue
+        f, vol, new = step
+        used.add(f)
+        closure.update(new)
+        volume += vol
+        chosen.append(step)
+    # The closure prune bounds |closure| by m and distinct images force
+    # |closure| >= m, so the images are exactly their own up-closure.
+    assert len(closure) == m
+    return Certificate(n, tuple((a, f) for a, (f, _, _) in zip(members, chosen)))
 
 
 def reduce_ground_set(fam: Family, cert: Certificate) -> tuple[Family, Certificate]:

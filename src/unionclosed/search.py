@@ -298,25 +298,27 @@ def minimal_counterexample() -> CounterexampleReport:
 
 
 def _search_solutions(
-    n: int,
-    missing: tuple[tuple[int, int], ...],
-    prefix: tuple[int, ...],
-    sink: list,
-) -> None:
+    args: tuple[int, tuple[tuple[int, int], ...], int, int]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Backtrack over co-atom member orientations, then pair-member contents.
 
-    Appends (a_members, b_members) mask tuples to sink; a_members[v] is
-    A_{v+1}, b_members[k] belongs to the k-th missing pair. prefix pins
-    the first len(prefix) free-pair choices (0: low beats high, 1: high
-    beats low, 2: both directions), which is how workers split the space.
+    args is (n, missing, part, parts). Returns (a_members, b_members) mask
+    tuples; a_members[v] is A_{v+1}, b_members[k] belongs to the k-th
+    missing pair. Each free pair takes one of three choices (0: low beats
+    high, 1: high beats low, 2: both directions). The subtrees below the
+    first min(free pairs, 7) choices are numbered in the order the walk
+    reaches them, and only those numbered part mod parts are searched,
+    which is how workers split the space; parts = 1 searches everything.
     """
+    n, missing, part, parts = args
+    sink: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     p_count = len(missing)
     m = n + 1 + p_count
     # Frequency of every element must stay below m/2; the full-set member
     # contributes 1, so outdeg(v) + #B's containing v is capped here.
     cap = (m + 1) // 2 - 2
     if cap < 0:
-        return
+        return sink
     full = full_mask(n)
     miss0 = [(i - 1, j - 1) for i, j in missing]
     pmasks = [(1 << i) | (1 << j) for i, j in miss0]
@@ -336,7 +338,7 @@ def _search_solutions(
     for v in range(n):
         outdeg[v] = sum(1 for w in range(n) if a_in[w] >> v & 1)
     if any(outdeg[v] > cap for v in range(n)):
-        return
+        return sink
 
     # Free pairs, ordered so that the pairs deciding the forced-membership
     # tests come first: the earlier a forcing fires, the bigger the cut.
@@ -383,9 +385,10 @@ def _search_solutions(
     # budget reserves one membership unit per pair up front.
     reserved = p_count
     if total + npairs > max_total - reserved:
-        return
+        return sink
 
-    plen = len(prefix)
+    split_depth = min(npairs, 7)
+    subtree = -1  # running index of the subtrees reached at split_depth
 
     def assign_pair_members() -> None:
         budget = [cap - outdeg[v] for v in range(n)]
@@ -440,7 +443,11 @@ def _search_solutions(
         place(0)
 
     def descend(t: int) -> None:
-        nonlocal total, reserved
+        nonlocal total, reserved, subtree
+        if t == split_depth:
+            subtree += 1
+            if subtree % parts != part:
+                return
         if t == npairs:
             assign_pair_members()
             return
@@ -449,8 +456,6 @@ def _search_solutions(
         bit_i = 1 << i
         bit_j = 1 << j
         for choice in (0, 1, 2):
-            if t < plen and choice != prefix[t]:
-                continue
             if choice == 0:
                 if outdeg[i] + forced_b[i] >= cap:
                     continue
@@ -513,6 +518,7 @@ def _search_solutions(
                 a_in[i] &= ~bit_j
 
     descend(0)
+    return sink
 
 
 def _run_jobs(func: Callable, jobs_for: Callable[[int], list], workers: int) -> list:
@@ -526,14 +532,6 @@ def _run_jobs(func: Callable, jobs_for: Callable[[int], list], workers: int) -> 
         return [func(jobs[0])]
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(func, jobs))
-
-
-def _search_chunk(args: tuple[int, tuple[tuple[int, int], ...], list]) -> list:
-    n, missing, prefixes = args
-    sink: list = []
-    for prefix in prefixes:
-        _search_solutions(n, missing, prefix, sink)
-    return sink
 
 
 def _solution_report(
@@ -625,16 +623,11 @@ def search_counterexamples(
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     missing = shape.missing_pairs
-    free_count = n * (n - 1) // 2 - len(missing)
 
     def jobs_for(w: int) -> list:
-        # Several workers deal out the 3**7 choices of the first seven free
-        # pairs; one worker runs the whole space under the empty prefix.
-        span = min(free_count, 7) if w > 1 else 0
-        prefixes = list(product((0, 1, 2), repeat=span))
-        return [(n, missing, prefixes[k::w]) for k in range(min(w, len(prefixes)))]
+        return [(n, missing, k, w) for k in range(w)]
 
-    parts = _run_jobs(_search_chunk, jobs_for, workers)
+    parts = _run_jobs(_search_solutions, jobs_for, workers)
     solutions = [sol for part in parts for sol in part]
     reports = [_solution_report(shape, sol) for sol in solutions]
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))

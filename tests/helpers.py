@@ -102,6 +102,32 @@ def _assign(members, images, chosen) -> bool:
     return False
 
 
+def brute_certified_families(n: int) -> set[frozenset[frozenset[int]]]:
+    """Every nonempty family over [n] that carries a certificate, listed
+    filter by filter: each filter of every size, then every choice of a
+    member below each image whose materialized interval misses the
+    intervals chosen before it. Desk scale only."""
+    found: set[frozenset[frozenset[int]]] = set()
+
+    def place(images, k, members, covered) -> None:
+        if k == len(images):
+            found.add(frozenset(members))
+            return
+        f = images[k]
+        if f in covered:  # every interval below f would hold f
+            return
+        for a in all_subsets(n):
+            if a <= f and a not in covered:
+                iv = interval(a, f)
+                if not iv & covered:
+                    place(images, k + 1, members + [a], covered | iv)
+
+    for size in range(1, (1 << n) + 1):
+        for filt in brute_filters(n, size):
+            place(filt, 0, [], set())
+    return found
+
+
 def canonical_form(sets, n: int) -> tuple[tuple[int, ...], ...]:
     """Least relabeled form over all n! permutations of [n]: each member
     as a sorted element tuple, the members sorted. Two families are

@@ -23,10 +23,10 @@ from unionclosed import (
     Family,
     FamilyFormatError,
     SearchShape,
+    conjecture_sweep,
     degree_budget_feasible,
     difference_disjoint,
     elements_of,
-    enumerate_conjecture,
     find_certificate,
     frequency_vector,
     full_mask,
@@ -39,7 +39,13 @@ from unionclosed import (
     search_counterexamples,
     verify_certificate,
 )
-from helpers import all_tournaments, as_sets, brute_certificate_exists, interval
+from helpers import (
+    all_tournaments,
+    as_sets,
+    brute_certificate_exists,
+    brute_certified_families,
+    interval,
+)
 
 
 @pytest.fixture()
@@ -213,8 +219,16 @@ def test_criterion_5_disjointness_equivalence(criterion):
 
 def test_criterion_6_conjecture_sweep(criterion):
     with criterion(6, "no certified family up to ground size 4 dodges the half-element"):
-        for n in (2, 3, 4):
-            assert enumerate_conjecture(n) == []
+        for n, expected in ((2, 13), (3, 192), (4, 28736)):
+            summary = conjecture_sweep(n)
+            assert summary.violations == ()
+            # the sweep skips the bare {∅}, which the oracle certifies
+            certified = brute_certified_families(n) - {frozenset([frozenset()])}
+            assert summary.certified == len(certified) == expected
+            assert all(
+                any(2 * sum(x in s for s in fam) >= len(fam) for x in range(1, n + 1))
+                for fam in certified
+            )
 
 
 def test_criterion_7_average_size_bound(criterion):

@@ -4,10 +4,11 @@ verification, the exhaustive decision search, and ground reduction.
 Predicates are checked against a materializing oracle over [3] here
 (the [4] exhaustive pass lives in the acceptance suite), and the
 decision search is cross-checked against the filter-and-bijection brute
-force over [2].
+force over [2] and on random families over [4].
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unionclosed import (
     Certificate,
@@ -191,6 +192,14 @@ def test_find_lone_empty_set_maps_to_top():
     assert find_certificate(Family(2, (0,))) == Certificate(2, ((0, 0b11),))
 
 
+def test_find_certifies_the_power_set_of_10():
+    # 1024 members, deeper than Python's default recursion limit
+    fam = Family(10, tuple(range(1 << 10)))
+    cert = find_certificate(fam)
+    assert cert is not None
+    assert verify_certificate(fam, cert)
+
+
 def test_find_certifies_the_minimal_family():
     report = minimal_counterexample()
     cert = find_certificate(report.family)
@@ -206,6 +215,16 @@ def test_find_agrees_with_brute_force_and_repeats_itself_over_2():
         assert (first is not None) == brute_certificate_exists(as_sets(fam), 2)
         if first is not None:
             assert verify_certificate(fam, first)
+
+
+@settings(deadline=None)
+@given(st.sets(st.integers(0, 15), max_size=9))
+def test_find_agrees_with_brute_force_over_4(masks):
+    fam = Family(4, tuple(sorted(masks)))
+    cert = find_certificate(fam)
+    assert (cert is not None) == brute_certificate_exists(as_sets(fam), 4)
+    if cert is not None:
+        assert verify_certificate(fam, cert)
 
 
 def test_found_certificates_respect_the_volume_bound_over_3():
