@@ -16,6 +16,12 @@ and the pair-member contents, which is what the backtracking enumerates:
 
 Everything is enumerated in fixed orders and the final report list is
 sorted, so results are identical for any worker count.
+
+The small-ground sweep goes filter by filter instead of deciding each of
+the 2**(2**n) families: it walks every nonempty filter over [n], places
+one member below each image with pairwise disjoint intervals, and marks
+the family each completed placement builds. The marked families are
+exactly those that admit a certificate.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Callable, NamedTuple, Sequence
 
-from .certificates import Certificate, find_certificate, verify_certificate
+from .certificates import Certificate, verify_certificate
 from .family import (
     MAX_GROUND,
     Family,
@@ -45,7 +51,7 @@ SEARCH_CAP = 10
 # Canonical dedup tries every relabeling that keeps each element inside its
 # invariant cell; when all elements share one cell that is all n! of them.
 CANONICAL_CAP = 8
-# The all-families sweep walks 2**(2**n) families.
+# The sweep marks families in a 2**(2**n)-byte array: 64 KB at 4, 4 GB at 5.
 ENUMERATION_CAP = 4
 
 
@@ -645,56 +651,98 @@ class SweepSummary(NamedTuple):
     violations: tuple[Family, ...]
 
 
-def _sweep_chunk(args: tuple[int, int, int]) -> tuple[int, list[tuple[int, ...]]]:
-    n, start, stop = args
-    certified = 0
-    bad: list[tuple[int, ...]] = []
-    for code in range(start, stop):
-        members = []
-        c = code
-        k = 0
-        while c:
-            if c & 1:
-                members.append(k)
-            c >>= 1
-            k += 1
-        fam = Family(n, tuple(members))
-        if find_certificate(fam) is not None:
-            certified += 1
-            if not frankl_check(fam).holds:
-                bad.append(fam.members)
-    return certified, bad
+def _filters(n: int) -> list[tuple[int, ...]]:
+    """Every nonempty filter over {1..n}, each as its members smallest first.
+
+    Sets are visited in decreasing mask order, so a set comes after all
+    its proper supersets. A set may join only when all its one-element
+    supersets are in, which by induction puts every superset in.
+    """
+    full = full_mask(n)
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def walk(s: int, inside: int) -> None:
+        if s < 0:
+            if chosen:
+                found.append(tuple(reversed(chosen)))
+            return
+        if all(inside >> (s | 1 << e) & 1 for e in range(n) if not s >> e & 1):
+            chosen.append(s)
+            walk(s - 1, inside | 1 << s)
+            chosen.pop()
+        walk(s - 1, inside)
+
+    walk(full, 0)
+    return found
+
+
+def _certified_codes(args: tuple[int, int, int]) -> bytearray:
+    """Mark every family that some filter certifies, filter by filter.
+
+    args is (n, part, parts); only the filters whose index is part mod
+    parts are walked, which is how workers split the sweep. For each
+    filter one member a below each image f is placed, keeping [a, f] only
+    if it misses every interval placed so far; intervals are bitmasks
+    over the 2**n subsets. Small images have few members below them, so
+    placing them first keeps the tree narrow near its root. marks[code]
+    is 1 for each completed placement, where bit a of code is set for
+    each placed member a.
+    """
+    n, part, parts = args
+    size = 1 << n
+    # below[f] pairs every a within f with the interval [a, f] as a bitmask
+    below = [
+        [
+            (a, sum(1 << s for s in range(size) if s & a == a and s | f == f))
+            for a in range(size)
+            if a | f == f
+        ]
+        for f in range(size)
+    ]
+    marks = bytearray(1 << size)
+
+    def place(images: tuple[int, ...], k: int, code: int, covered: int) -> None:
+        if k == len(images):
+            marks[code] = 1
+            return
+        for a, iv in below[images[k]]:
+            if not iv & covered:
+                place(images, k + 1, code | 1 << a, covered | iv)
+
+    for index, images in enumerate(_filters(n)):
+        if index % parts == part:
+            place(images, 0, 0, 0)
+    return marks
 
 
 def conjecture_sweep(n: int, workers: int = 1) -> SweepSummary:
-    """Decide the certificate condition for every family over {1..n}.
+    """Find every family over {1..n} that admits a certificate, and check
+    the half-element property on each.
 
-    Walks all families except the empty one and the bare {{}} (neither
-    carries an element to count), recording how many admit a certificate
-    and which of those dodge the half-element property. An empty
-    violation list is an exhaustive verification for this ground size.
+    Families are built from the filters rather than decided one by one:
+    each nonempty filter contributes every family that pairs onto it with
+    pairwise disjoint intervals. The empty family and the bare {{}} are
+    not counted (neither carries an element to count), so scanned is all
+    2**(2**n) families less those two. An empty violation list is an
+    exhaustive verification for this ground size.
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"exhaustive sweep supports ground sizes 1..{ENUMERATION_CAP}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    count = 1 << (1 << n)
-    scanned = count - 2
 
     def jobs_for(w: int) -> list:
-        bounds = [2 + scanned * k // w for k in range(w + 1)]
-        return [(n, bounds[k], bounds[k + 1]) for k in range(w)]
+        return [(n, k, w) for k in range(w)]
 
-    certified = 0
+    parts = _run_jobs(_certified_codes, jobs_for, workers)
+    marks = bytearray(map(max, zip(*parts)))  # marked by any worker
+    marks[1] = 0  # the bare {{}}
     bad: list[tuple[int, ...]] = []
-    for part_certified, part_bad in _run_jobs(_sweep_chunk, jobs_for, workers):
-        certified += part_certified
-        bad.extend(part_bad)
+    for code, hit in enumerate(marks):
+        if hit:
+            fam = Family(n, tuple(a for a in range(1 << n) if code >> a & 1))
+            if not frankl_check(fam).holds:
+                bad.append(fam.members)
     violations = tuple(Family(n, members) for members in sorted(bad))
-    return SweepSummary(n, scanned, certified, violations)
-
-
-def enumerate_conjecture(n: int, workers: int = 1) -> list[Family]:
-    """Families over {1..n} that admit a certificate yet fail the
-    half-element property. Expected (and so far always) empty."""
-    return list(conjecture_sweep(n, workers).violations)
+    return SweepSummary(n, (1 << (1 << n)) - 2, sum(marks), violations)

@@ -102,11 +102,13 @@ def _assign(members, images, chosen) -> bool:
     return False
 
 
-def brute_certified_families(n: int) -> set[frozenset[frozenset[int]]]:
+@lru_cache(maxsize=None)
+def brute_certified_families(n: int) -> frozenset[frozenset[frozenset[int]]]:
     """Every nonempty family over [n] that carries a certificate, listed
     filter by filter: each filter of every size, then every choice of a
     member below each image whose materialized interval misses the
-    intervals chosen before it. Desk scale only."""
+    intervals chosen before it. Desk scale only; cached, because [4]
+    takes seconds."""
     found: set[frozenset[frozenset[int]]] = set()
 
     def place(images, k, members, covered) -> None:
@@ -125,7 +127,7 @@ def brute_certified_families(n: int) -> set[frozenset[frozenset[int]]]:
     for size in range(1, (1 << n) + 1):
         for filt in brute_filters(n, size):
             place(filt, 0, [], set())
-    return found
+    return frozenset(found)
 
 
 def canonical_form(sets, n: int) -> tuple[tuple[int, ...], ...]:

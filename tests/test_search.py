@@ -28,17 +28,24 @@ from unionclosed import (
     contains_tournament,
     degree_budget_feasible,
     digraph_from_family,
-    enumerate_conjecture,
+    find_certificate,
     frequency_vector,
     full_mask,
+    is_filter,
     max_outdegree,
     min_even_ground_size,
     minimal_counterexample,
     search_counterexamples,
     verify_certificate,
 )
-from unionclosed.search import _canonical_key
-from helpers import as_sets, brute_certificate_exists, canonical_form
+from unionclosed.search import _canonical_key, _certified_codes, _filters
+from helpers import (
+    as_sets,
+    brute_certificate_exists,
+    brute_certified_families,
+    brute_filters,
+    canonical_form,
+)
 
 TWO_PAIRS = SearchShape(8, ((1, 2), (3, 4)))
 
@@ -388,6 +395,47 @@ def test_sweep_ground_three_matches_brute_force():
 
 def test_sweep_workers_agree():
     assert conjecture_sweep(3, workers=3) == conjecture_sweep(3)
+    assert conjecture_sweep(4, workers=2) == conjecture_sweep(4)
+
+
+def test_filter_walk_finds_every_nonempty_filter():
+    # Dedekind numbers less one (OEIS A000372): the empty up-set is left out
+    for n, count in ((1, 2), (2, 5), (3, 19), (4, 167)):
+        found = _filters(n)
+        assert len(found) == len(set(found)) == count
+        assert all(is_filter(Family(n, f)) for f in found)
+    for n in (1, 2, 3):
+        expected = {
+            frozenset(f) for size in range(1, (1 << n) + 1) for f in brute_filters(n, size)
+        }
+        assert {frozenset(as_sets(Family(n, f))) for f in _filters(n)} == expected
+
+
+def certified_families(n: int) -> list[Family]:
+    marks = _certified_codes((n, 0, 1))
+    assert len(marks) == 1 << (1 << n)
+    return [
+        Family(n, tuple(a for a in range(1 << n) if code >> a & 1))
+        for code, hit in enumerate(marks)
+        if hit
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_certified_codes_are_the_brute_force_families(n):
+    got = {frozenset(as_sets(fam)) for fam in certified_families(n)}
+    assert got == brute_certified_families(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certified_codes_are_the_decided_families(n):
+    space = 1 << n
+    decided = []
+    for code in range(1, 1 << space):
+        fam = Family(n, tuple(i for i in range(space) if code >> i & 1))
+        if find_certificate(fam) is not None:
+            decided.append(fam)
+    assert certified_families(n) == decided
 
 
 def test_sweep_guards():
@@ -398,6 +446,6 @@ def test_sweep_guards():
         conjecture_sweep(2, workers=0)
 
 
-def test_enumerate_conjecture_is_empty_at_small_grounds():
-    assert enumerate_conjecture(2) == []
-    assert enumerate_conjecture(3) == []
+def test_sweep_finds_no_violation_at_small_grounds():
+    assert conjecture_sweep(2).violations == ()
+    assert conjecture_sweep(3).violations == ()
