@@ -10,10 +10,12 @@ A certificate pairs every member A of a family with an image F_A so that
 Verification names the first violated clause instead of returning a bare
 bool, so broken certificates can be loaded and diagnosed. The searcher
 decides existence exhaustively for ground sizes up to DECISION_CAP, by a
-depth-first search on an explicit stack that prunes repeated images,
-interval clashes, images too small for the family size, an up-closure
-past the family size and an overfull volume budget. It is deterministic:
-same family in, same certificate out.
+depth-first search on an explicit stack. Each cube [A, F_A] is a bitmask
+over the 2**n subsets (the lattice tables of _cubes), so one clash test
+against the sets covered so far catches both interval overlaps and
+repeated images. It also prunes images too small for the family size, an
+up-closure past the family size and an overfull volume budget. It is
+deterministic: same family in, same certificate out.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .family import (
     mask_from_elements,
 )
 
-# Exhaustive decision is exponential in the worst case; 12 keeps the
-# whole lattice (4096 sets) and the superset cache comfortably small.
+# Exhaustive decision is exponential in the worst case. At 12 the lattice
+# has 4096 sets, and _cubes holds two 4096-entry tables of 4096-bit ints,
+# about 4 MB.
 DECISION_CAP = 12
 
 
@@ -198,17 +201,39 @@ def _superset_candidates(mask: int, ground_size: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _cubes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """up[s] and down[s]: the subsets of {1..n} above and below s, as
+    bitmasks over the 2**n subsets (bit t stands for the set t), so the
+    interval [a, f] is up[a] & down[f]."""
+    size = 1 << n
+    up, down = [0] * size, [0] * size
+    up[-1], down[0] = 1 << (size - 1), 1
+    # Split on one element e outside (inside) s: the sets with e, and the
+    # same sets without e, which sit 2**e bit positions lower.
+    for s in range(size - 2, -1, -1):
+        e = ~s & (s + 1)
+        up[s] = up[s | e] | up[s | e] >> e
+    for s in range(1, size):
+        e = s & -s
+        down[s] = down[s ^ e] | down[s ^ e] << e
+    return tuple(up), tuple(down)
+
+
 def find_certificate(fam: Family) -> Certificate | None:
     """Exhaustively decide certificate existence, returning one witness.
 
     Members are processed largest first; candidate images for a member
     run from the member itself upward, skipping those too small to head
-    an m-set filter. A branch dies as soon as a chosen image repeats,
-    clashes with an assigned interval, pushes the running up-closure of
-    the images past the family size, or overfills the interval volume
-    budget sum(2**(|F| - |A|)) <= 2**n. The depth-first search runs on an
-    explicit stack, so the member count sets no recursion limit. All
-    orders are fixed, so the outcome and the returned witness are
+    an m-set filter. The state of a branch is two lattice bitmasks: the
+    sets covered by the intervals assigned so far and the up-closure of
+    their images. A branch dies as soon as a chosen interval meets a
+    covered set (a repeated image always does, since f lies in both
+    intervals), the up-closure grows past the family size, or the
+    interval volume overfills the budget sum(2**(|F| - |A|)) <= 2**n.
+    The depth-first search runs on an explicit stack, so the member
+    count sets no recursion limit, and backtracking only drops a level.
+    All orders are fixed, so the outcome and the returned witness are
     deterministic. None means a proof of nonexistence, not a giving-up.
     """
     n = fam.ground_size
@@ -216,6 +241,7 @@ def find_certificate(fam: Family) -> Certificate | None:
         raise ResourceLimitError(
             f"certificate decision is exhaustive only up to ground size {DECISION_CAP}"
         )
+    up, down = _cubes(n)
     members = sorted(fam.members, key=lambda a: (-a.bit_count(), a))
     m = len(members)
     space = 1 << n
@@ -226,69 +252,43 @@ def find_certificate(fam: Family) -> Certificate | None:
         tuple(f for f in _superset_candidates(a, n) if f.bit_count() >= min_size)
         for a in members
     ]
-    # chosen[k] is the image of members[k], its interval volume and the
-    # closure sets it added, kept so the choice can be undone.
-    chosen: list[tuple[int, int, list[int]]] = []
-    used: set[int] = set()
-    closure: set[int] = set()
-    volume = 0
 
-    def live(k: int) -> Iterator[tuple[int, int, list[int]]]:
-        """The images members[k] can take, read against the current state.
-
-        A level is resumed only after every choice below it is undone, so
-        the state it reads is the one it was started in.
-        """
+    def live(k: int, covered: int, closure: int) -> Iterator[tuple[int, int, int]]:
+        """Each image members[k] can take, with the state it leaves."""
         a = members[k]
         a_size = a.bit_count()
-        room = space - (m - k - 1)
-        # [a, f] meets an assigned [b, g] exactly when a <= g and b <= f.
-        above = [b for b, (g, _, _) in zip(members, chosen) if a & ~g == 0]
+        above_a = up[a]
+        room = space - (m - k - 1) - covered.bit_count()
         for f in cand[k]:
-            if f in used:
+            iv = above_a & down[f]
+            if iv & covered:
                 continue
-            clash = False
-            for b in above:
-                if b & ~f == 0:
-                    clash = True
-                    break
-            if clash:
-                continue
-            vol = 1 << (f.bit_count() - a_size)
-            if volume + vol > room:
+            if 1 << (f.bit_count() - a_size) > room:
                 # Candidates only grow, so every later image is too big.
                 break
-            if f in closure:
-                # The closure is up-closed, so up(f) is already inside it.
-                yield f, vol, []
-            elif len(closure) < m:
-                new = [s for s in _superset_candidates(f, n) if s not in closure]
-                if len(closure) + len(new) <= m:
-                    yield f, vol, new
+            grown = closure | up[f]
+            if grown.bit_count() <= m:
+                yield f, covered | iv, grown
 
-    levels: list[Iterator[tuple[int, int, list[int]]]] = []
+    # chosen[k] is the image of members[k] with the state it leaves.
+    chosen: list[tuple[int, int, int]] = []
+    levels: list[Iterator[tuple[int, int, int]]] = []
     while len(chosen) < m:
         if len(levels) == len(chosen):
-            levels.append(live(len(chosen)))
+            _, covered, closure = chosen[-1] if chosen else (0, 0, 0)
+            levels.append(live(len(chosen), covered, closure))
         step = next(levels[-1], None)
         if step is None:
-            # This member has no image left: undo its predecessor's choice.
+            # This member has no image left: retry its predecessor.
             levels.pop()
             if not chosen:
                 return None
-            f, vol, new = chosen.pop()
-            used.discard(f)
-            closure.difference_update(new)
-            volume -= vol
+            chosen.pop()
             continue
-        f, vol, new = step
-        used.add(f)
-        closure.update(new)
-        volume += vol
         chosen.append(step)
     # The closure prune bounds |closure| by m and distinct images force
     # |closure| >= m, so the images are exactly their own up-closure.
-    assert len(closure) == m
+    assert (chosen[-1][2] if chosen else 0).bit_count() == m
     return Certificate(n, tuple((a, f) for a, (f, _, _) in zip(members, chosen)))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Callable, NamedTuple, Sequence
 
-from .certificates import Certificate, verify_certificate
+from .certificates import Certificate, _cubes, verify_certificate
 from .family import (
     MAX_GROUND,
     Family,
@@ -567,10 +567,6 @@ def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
     cell-respecting relabeling of the original, so both reach the same
     least tuple.
     """
-    if n > CANONICAL_CAP:
-        raise ResourceLimitError(
-            f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
-        )
     cells: dict[tuple, list[int]] = {}
     for e in range(n):
         holding = [m for m in members if m >> e & 1]
@@ -623,6 +619,10 @@ def search_counterexamples(
     if n > SEARCH_CAP:
         raise ResourceLimitError(
             f"structured search is exhaustive only up to ground size {SEARCH_CAP}"
+        )
+    if canonical and n > CANONICAL_CAP:
+        raise ResourceLimitError(
+            f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -683,22 +683,19 @@ def _certified_codes(args: tuple[int, int, int]) -> bytearray:
     args is (n, part, parts); only the filters whose index is part mod
     parts are walked, which is how workers split the sweep. For each
     filter one member a below each image f is placed, keeping [a, f] only
-    if it misses every interval placed so far; intervals are bitmasks
-    over the 2**n subsets. Small images have few members below them, so
+    if it misses every interval placed so far. Intervals are the lattice
+    bitmasks over the 2**n subsets from certificates._cubes, the format
+    find_certificate decides on. Small images have few members below them, so
     placing them first keeps the tree narrow near its root. marks[code]
     is 1 for each completed placement, where bit a of code is set for
     each placed member a.
     """
     n, part, parts = args
     size = 1 << n
-    # below[f] pairs every a within f with the interval [a, f] as a bitmask
+    up, down = _cubes(n)
+    # below[f] pairs every a within f with the interval [a, f]
     below = [
-        [
-            (a, sum(1 << s for s in range(size) if s & a == a and s | f == f))
-            for a in range(size)
-            if a | f == f
-        ]
-        for f in range(size)
+        [(a, up[a] & down[f]) for a in range(size) if a | f == f] for f in range(size)
     ]
     marks = bytearray(1 << size)
 

@@ -24,6 +24,7 @@ from unionclosed import (
     reduce_ground_set,
     verify_certificate,
 )
+from unionclosed.certificates import _cubes
 from helpers import as_sets, brute_certificate_exists, interval
 
 
@@ -81,6 +82,18 @@ def test_predicates_match_materialized_intervals_over_3():
             expect = not (ia & ib)
             assert difference_disjoint(a, fa, b, fb) == expect
             assert intervals_disjoint(a, fa, b, fb) == expect
+
+
+def test_cube_masks_match_materialized_intervals_up_to_3():
+    for n in range(4):
+        up, down = _cubes(n)
+        for f in range(1 << n):
+            hi = frozenset(elements_of(f))
+            for a in range(1 << n):
+                lo = frozenset(elements_of(a))
+                cube = up[a] & down[f]
+                got = {frozenset(elements_of(t)) for t in range(1 << n) if cube >> t & 1}
+                assert got == (interval(lo, hi) if lo <= hi else set())
 
 
 # ----------------------------------------------------------- Certificate
@@ -192,12 +205,21 @@ def test_find_lone_empty_set_maps_to_top():
     assert find_certificate(Family(2, (0,))) == Certificate(2, ((0, 0b11),))
 
 
-def test_find_certifies_the_power_set_of_10():
-    # 1024 members, deeper than Python's default recursion limit
-    fam = Family(10, tuple(range(1 << 10)))
+def assert_power_set_certifies(n):
+    fam = Family(n, tuple(range(1 << n)))
     cert = find_certificate(fam)
     assert cert is not None
     assert verify_certificate(fam, cert)
+
+
+def test_find_certifies_the_power_set_of_10():
+    # 1024 members, deeper than Python's default recursion limit
+    assert_power_set_certifies(10)
+
+
+def test_find_certifies_the_power_set_of_12():
+    # 4096 members at DECISION_CAP, the largest family the decision takes
+    assert_power_set_certifies(12)
 
 
 def test_find_certifies_the_minimal_family():

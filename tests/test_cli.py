@@ -210,6 +210,11 @@ def test_search_refuses_large_ground(capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+def test_search_refuses_canonical_above_its_cap(capsys):
+    assert main(["search", "--n", "9", "--pairs", "1,2:3,4", "--canonical"]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
 def test_search_rejects_zero_workers(capsys):
     assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--workers", "0"]) == 2
 

@@ -360,6 +360,11 @@ def test_search_guards():
         search_counterexamples(TWO_PAIRS, workers=0)
     with pytest.raises(ValueError):
         search_counterexamples(TWO_PAIRS, limit=-1)
+    # refused before searching, even for a shape with no solutions
+    with pytest.raises(ResourceLimitError):
+        search_counterexamples(
+            SearchShape(CANONICAL_CAP + 1, ((1, 2), (3, 4))), canonical=True
+        )
     assert CANONICAL_CAP <= SEARCH_CAP
 
 
