@@ -10,12 +10,14 @@ A certificate pairs every member A of a family with an image F_A so that
 Verification names the first violated clause instead of returning a bare
 bool, so broken certificates can be loaded and diagnosed. The searcher
 decides existence exhaustively for ground sizes up to DECISION_CAP, by a
-depth-first search on an explicit stack. Each cube [A, F_A] is a bitmask
-over the 2**n subsets (the lattice tables of _cubes), so one clash test
-against the sets covered so far catches both interval overlaps and
-repeated images. It also prunes images too small for the family size, an
-up-closure past the family size and an overfull volume budget. It is
-deterministic: same family in, same certificate out.
+depth-first search on an explicit stack that takes the members smallest
+first. Each cube [A, F_A] is a bitmask over the 2**n subsets (the lattice
+tables of _cubes), so one clash test against the sets covered so far
+catches both interval overlaps and repeated images. Before the search it
+drops every image too small for the family size and every image whose
+cube holds another member; during it, it prunes an up-closure past the
+family size and an overfull volume budget. It is deterministic: same
+family in, same certificate out.
 """
 
 from __future__ import annotations
@@ -223,18 +225,21 @@ def _cubes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def find_certificate(fam: Family) -> Certificate | None:
     """Exhaustively decide certificate existence, returning one witness.
 
-    Members are processed largest first; candidate images for a member
-    run from the member itself upward, skipping those too small to head
-    an m-set filter. The state of a branch is two lattice bitmasks: the
-    sets covered by the intervals assigned so far and the up-closure of
-    their images. A branch dies as soon as a chosen interval meets a
-    covered set (a repeated image always does, since f lies in both
-    intervals), the up-closure grows past the family size, or the
-    interval volume overfills the budget sum(2**(|F| - |A|)) <= 2**n.
-    The depth-first search runs on an explicit stack, so the member
-    count sets no recursion limit, and backtracking only drops a level.
-    All orders are fixed, so the outcome and the returned witness are
-    deterministic. None means a proof of nonexistence, not a giving-up.
+    Members are processed smallest first (by size, then mask value);
+    candidate images for a member run from the member itself upward.
+    Two kinds of image are dropped before the search: those too small to
+    head an m-set filter, and those whose cube [A, F] holds another
+    member B, which would meet [B, F_B] at B whatever F_B is. The state
+    of a branch is two lattice bitmasks: the sets covered by the
+    intervals assigned so far and the up-closure of their images. A
+    branch dies as soon as a chosen interval meets a covered set (a
+    repeated image always does, since f lies in both intervals), the
+    up-closure grows past the family size, or the interval volume
+    overfills the budget sum(2**(|F| - |A|)) <= 2**n. The depth-first
+    search runs on an explicit stack, so the member count sets no
+    recursion limit, and backtracking only drops a level. All orders are
+    fixed, so the outcome and the returned witness are deterministic.
+    None means a proof of nonexistence, not a giving-up.
     """
     n = fam.ground_size
     if n > DECISION_CAP:
@@ -242,16 +247,25 @@ def find_certificate(fam: Family) -> Certificate | None:
             f"certificate decision is exhaustive only up to ground size {DECISION_CAP}"
         )
     up, down = _cubes(n)
-    members = sorted(fam.members, key=lambda a: (-a.bit_count(), a))
+    members = sorted(fam.members, key=lambda a: (a.bit_count(), a))
     m = len(members)
     space = 1 << n
+    member_bits = sum(1 << a for a in members)
     # An image with more than m supersets can never sit inside an m-set
-    # filter, so candidates below that size are dead from the start.
+    # filter, so candidates below that size are dead from the start. So
+    # is an image whose cube holds another member b: that cube always
+    # meets [b, F_b] at b.
     min_size = max(0, n - (m.bit_length() - 1))
-    cand = [
-        tuple(f for f in _superset_candidates(a, n) if f.bit_count() >= min_size)
-        for a in members
-    ]
+    cand = []
+    for a in members:
+        above = (up[a] & member_bits) ^ 1 << a
+        cand.append(
+            tuple(
+                f
+                for f in _superset_candidates(a, n)
+                if f.bit_count() >= min_size and not down[f] & above
+            )
+        )
 
     def live(k: int, covered: int, closure: int) -> Iterator[tuple[int, int, int]]:
         """Each image members[k] can take, with the state it leaves."""

@@ -229,23 +229,27 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"search finished in {elapsed:.1f}s with {len(reports)} result(s)",
         file=sys.stderr,
     )
-    payload = {
-        "shape": shape.to_dict(),
-        "count": len(reports),
-        "reports": [r.to_dict() for r in reports],
-    }
-    lines = [
-        f"shape: ground size {shape.ground_size},"
-        f" pairs {' '.join(format_set((1 << (i - 1)) | (1 << (j - 1))) for i, j in shape.missing_pairs) or '(none)'}",
-        f"counterexamples found: {len(reports)}",
-    ]
-    for idx, r in enumerate(reports, start=1):
-        lines.append(
-            f"counterexample {idx}: {len(r.family)} sets,"
-            f" max frequency {r.max_frequency}"
-        )
-        lines.append("  " + " ".join(format_set(m) for m in r.family))
-    _emit(args, payload, lines)
+    # Each mode formats every report, so build only the one printed.
+    if args.json:
+        payload = {
+            "shape": shape.to_dict(),
+            "count": len(reports),
+            "reports": [r.to_dict() for r in reports],
+        }
+        _emit(args, payload, [])
+    else:
+        lines = [
+            f"shape: ground size {shape.ground_size},"
+            f" pairs {' '.join(format_set((1 << (i - 1)) | (1 << (j - 1))) for i, j in shape.missing_pairs) or '(none)'}",
+            f"counterexamples found: {len(reports)}",
+        ]
+        for idx, r in enumerate(reports, start=1):
+            lines.append(
+                f"counterexample {idx}: {len(r.family)} sets,"
+                f" max frequency {r.max_frequency}"
+            )
+            lines.append("  " + " ".join(format_set(m) for m in r.family))
+        _emit(args, {}, lines)
     return 0 if reports else 1
 
 

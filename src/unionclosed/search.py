@@ -27,7 +27,6 @@ exactly those that admit a certificate.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Callable, NamedTuple, Sequence
@@ -536,6 +535,10 @@ def _run_jobs(func: Callable, jobs_for: Callable[[int], list], workers: int) -> 
     jobs = jobs_for(min(workers, os.cpu_count() or 1))
     if len(jobs) == 1:
         return [func(jobs[0])]
+    # Imported here: the pool machinery costs every single-job command
+    # tens of milliseconds of startup otherwise.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(func, jobs))
 

@@ -140,6 +140,18 @@ def canonical_form(sets, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def relabel(members, n: int, perm) -> tuple[int, ...]:
+    """Member masks with element i + 1 renamed perm[i], sorted."""
+    out = []
+    for m in members:
+        x = 0
+        for i in range(n):
+            if m >> i & 1:
+                x |= 1 << (perm[i] - 1)
+        out.append(x)
+    return tuple(sorted(out))
+
+
 def all_tournaments(k: int):
     """Every orientation of the complete graph on k vertices, emitted as
     1-based adjacency rows (bit j-1 of rows[i-1] set iff edge i -> j)."""

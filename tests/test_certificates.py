@@ -4,8 +4,11 @@ verification, the exhaustive decision search, and ground reduction.
 Predicates are checked against a materializing oracle over [3] here
 (the [4] exhaustive pass lives in the acceptance suite), and the
 decision search is cross-checked against the filter-and-bijection brute
-force over [2] and on random families over [4].
+force over [2] and on random families over [4], and against Reimer's
+theorems on seeded families over [8]..[10].
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,12 +23,14 @@ from unionclosed import (
     find_certificate,
     full_mask,
     intervals_disjoint,
+    is_union_closed,
     minimal_counterexample,
     reduce_ground_set,
+    reimer_bound_holds,
     verify_certificate,
 )
 from unionclosed.certificates import _cubes
-from helpers import as_sets, brute_certificate_exists, interval
+from helpers import as_sets, brute_certificate_exists, interval, relabel
 
 
 def submasks(mask):
@@ -205,11 +210,14 @@ def test_find_lone_empty_set_maps_to_top():
     assert find_certificate(Family(2, (0,))) == Certificate(2, ((0, 0b11),))
 
 
-def assert_power_set_certifies(n):
-    fam = Family(n, tuple(range(1 << n)))
+def assert_certifies(fam):
     cert = find_certificate(fam)
     assert cert is not None
     assert verify_certificate(fam, cert)
+
+
+def assert_power_set_certifies(n):
+    assert_certifies(Family(n, tuple(range(1 << n))))
 
 
 def test_find_certifies_the_power_set_of_10():
@@ -223,10 +231,7 @@ def test_find_certifies_the_power_set_of_12():
 
 
 def test_find_certifies_the_minimal_family():
-    report = minimal_counterexample()
-    cert = find_certificate(report.family)
-    assert cert is not None
-    assert verify_certificate(report.family, cert)
+    assert_certifies(minimal_counterexample().family)
 
 
 def test_find_agrees_with_brute_force_and_repeats_itself_over_2():
@@ -247,6 +252,50 @@ def test_find_agrees_with_brute_force_over_4(masks):
     assert (cert is not None) == brute_certificate_exists(as_sets(fam), 4)
     if cert is not None:
         assert verify_certificate(fam, cert)
+
+
+# Reimer (CPC 2003) proves that every union-closed family has a
+# certificate and that every family with one meets the average-size bound
+# (reimer_bound_holds). That answers families too large for the brute force.
+
+
+def test_find_certifies_the_minimal_family_under_relabeling():
+    rng = random.Random(7)
+    fam = minimal_counterexample().family
+    n = fam.ground_size
+    for _ in range(5):
+        perm = rng.sample(range(1, n + 1), n)
+        assert_certifies(Family(n, relabel(fam.members, n, perm)))
+
+
+def test_find_certifies_seeded_union_closed_families():
+    rng = random.Random(0)
+    done = 0
+    while done < 10:
+        n = rng.randint(8, 10)
+        members: set[int] = set()
+        while len(members) < 15:
+            g = rng.randrange(1, 1 << n)
+            members |= {g} | {g | a for a in members}
+        if len(members) > 25:
+            continue
+        fam = Family(n, tuple(sorted(members)))
+        assert is_union_closed(fam)
+        assert_certifies(fam)
+        done += 1
+
+
+def test_find_refuses_seeded_families_below_the_size_bound():
+    rng = random.Random(0)
+    done = 0
+    while done < 25:
+        n = rng.randint(8, 10)
+        small = [s for s in range(1 << n) if s.bit_count() <= 2]
+        fam = Family(n, tuple(sorted(rng.sample(small, rng.randint(10, 14)))))
+        if reimer_bound_holds(fam):
+            continue
+        assert find_certificate(fam) is None
+        done += 1
 
 
 def test_found_certificates_respect_the_volume_bound_over_3():

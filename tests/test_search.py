@@ -45,6 +45,7 @@ from helpers import (
     brute_certified_families,
     brute_filters,
     canonical_form,
+    relabel,
 )
 
 TWO_PAIRS = SearchShape(8, ((1, 2), (3, 4)))
@@ -216,17 +217,6 @@ def stabilizer_perms():
     return out
 
 
-def relabel(members, n, perm):
-    out = []
-    for m in members:
-        x = 0
-        for i in range(n):
-            if m >> i & 1:
-                x |= 1 << (perm[i] - 1)
-        out.append(x)
-    return tuple(sorted(out))
-
-
 def test_two_pair_search_finds_every_labeled_family():
     reports = search_counterexamples(TWO_PAIRS)
     assert len(reports) == 1344
@@ -332,7 +322,7 @@ def serial_pool(monkeypatch):
         def map(self, func, jobs):
             return map(func, jobs)
 
-    monkeypatch.setattr("unionclosed.search.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -432,7 +422,7 @@ def test_certified_codes_are_the_brute_force_families(n):
     assert got == brute_certified_families(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certified_codes_are_the_decided_families(n):
     space = 1 << n
     decided = []
