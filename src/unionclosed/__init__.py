@@ -15,7 +15,6 @@ from .certificates import (
     difference_disjoint,
     find_certificate,
     intervals_disjoint,
-    reduce_ground_set,
     verify_certificate,
 )
 from .family import (
@@ -37,7 +36,6 @@ from .family import (
     iter_supersets,
     mask_from_elements,
     reimer_bound_holds,
-    up_closure,
 )
 from .search import (
     CANONICAL_CAP,
@@ -48,9 +46,7 @@ from .search import (
     SearchShape,
     SweepSummary,
     conjecture_sweep,
-    contains_tournament,
     degree_budget_feasible,
-    digraph_from_family,
     max_outdegree,
     min_even_ground_size,
     minimal_counterexample,
@@ -83,7 +79,6 @@ __all__ = [
     "iter_supersets",
     "is_union_closed",
     "is_filter",
-    "up_closure",
     "frequency_vector",
     "frankl_check",
     "reimer_bound_holds",
@@ -91,9 +86,6 @@ __all__ = [
     "intervals_disjoint",
     "verify_certificate",
     "find_certificate",
-    "reduce_ground_set",
-    "digraph_from_family",
-    "contains_tournament",
     "max_outdegree",
     "degree_budget_feasible",
     "min_even_ground_size",

@@ -305,32 +305,3 @@ def find_certificate(fam: Family) -> Certificate | None:
     assert (chosen[-1][2] if chosen else 0).bit_count() == m
     return Certificate(n, tuple((a, f) for a, (f, _, _) in zip(members, chosen)))
 
-
-def reduce_ground_set(fam: Family, cert: Certificate) -> tuple[Family, Certificate]:
-    """Strip the elements common to every image and relabel the rest.
-
-    Elements in every image sit inside every interval's top, so deleting
-    them from members and images alike (then compacting labels to
-    1..n') preserves each certificate clause. Requires a certificate
-    that verifies; returns the input unchanged when no element is shared
-    by all images.
-    """
-    if not verify_certificate(fam, cert):
-        raise ValueError("certificate must verify before reduction")
-    common = full_mask(fam.ground_size)
-    for _, f in cert.pairs:
-        common &= f
-    if common == 0:
-        return fam, cert
-    keep = [i for i in range(fam.ground_size) if not common >> i & 1]
-
-    def shrink(mask: int) -> int:
-        out = 0
-        for new_i, old_i in enumerate(keep):
-            if mask >> old_i & 1:
-                out |= 1 << new_i
-        return out
-
-    new_pairs = tuple((shrink(a), shrink(f)) for a, f in cert.pairs)
-    new_fam = Family(len(keep), tuple(p[0] for p in new_pairs))
-    return new_fam, Certificate(len(keep), new_pairs)

@@ -289,7 +289,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    summary = conjecture_sweep(args.n, workers=args.workers)
+    summary = conjecture_sweep(args.n)
     payload = {
         "ground": summary.ground_size,
         "scanned": summary.scanned,
@@ -370,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="sweep every family over a tiny ground")
     p.add_argument("--n", type=int, required=True, help="ground set size (1..4)")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.set_defaults(func=_cmd_enumerate)
 

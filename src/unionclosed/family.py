@@ -209,15 +209,6 @@ def is_filter(fam: Family) -> FilterVerdict:
     return FilterVerdict(True, None)
 
 
-def up_closure(fam: Family) -> Family:
-    """The smallest filter containing the family."""
-    seen: set[int] = set()
-    for m in fam.members:
-        for s in iter_supersets(m, fam.ground_size):
-            seen.add(s)
-    return Family(fam.ground_size, tuple(seen))
-
-
 def frequency_vector(fam: Family) -> tuple[int, ...]:
     """counts[i - 1] = how many members contain element i."""
     counts = [0] * fam.ground_size

@@ -15,13 +15,14 @@ and the pair-member contents, which is what the backtracking enumerates:
     the family size, which caps each vertex's combined degree.
 
 Everything is enumerated in fixed orders and the final report list is
-sorted, so results are identical for any worker count.
+sorted, so search results are identical for any worker count.
 
-The small-ground sweep goes filter by filter instead of deciding each of
-the 2**(2**n) families: it walks every nonempty filter over [n], places
-one member below each image with pairwise disjoint intervals, and marks
-the family each completed placement builds. The marked families are
-exactly those that admit a certificate.
+The small-ground sweep runs in one process and goes filter by filter
+instead of deciding each of the 2**(2**n) families: it walks every
+nonempty filter over [n], places one member below each image with
+pairwise disjoint intervals, and marks the family each completed
+placement builds. The marked families are exactly those that admit a
+certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import chain, permutations, product
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
 from .family import (
@@ -40,7 +41,6 @@ from .family import (
     frankl_check,
     frequency_vector,
     full_mask,
-    is_filter,
     mask_from_elements,
 )
 
@@ -62,7 +62,7 @@ class Digraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.order <= MAX_GROUND:
+        if isinstance(self.order, bool) or not 0 <= self.order <= MAX_GROUND:
             raise ValueError(f"order must be in 0..{MAX_GROUND}")
         rows = tuple(int(r) for r in self.rows)
         if len(rows) != self.order:
@@ -80,39 +80,6 @@ class Digraph:
 
     def out_degree(self, i: int) -> int:
         return self.rows[i - 1].bit_count()
-
-
-def digraph_from_family(shape: "SearchShape", assignments: Sequence[int]) -> Digraph:
-    """Containment digraph of the co-atom members: edge (i, j) iff i in A_j.
-
-    assignments[j - 1] is the member mapped to the co-atom missing j; it
-    must not contain j itself. Pair members play no role here.
-    """
-    n = shape.ground_size
-    if len(assignments) != n:
-        raise ValueError(f"need exactly {n} co-atom members")
-    limit = full_mask(n)
-    rows = [0] * n
-    for j, a in enumerate(assignments):
-        if a < 0 or a & ~limit:
-            raise ValueError(f"member {a:#x} does not fit ground size {n}")
-        if a >> j & 1:
-            raise ValueError(f"member for co-atom {j + 1} must not contain {j + 1}")
-        rest = a
-        while rest:
-            low = rest & -rest
-            rows[low.bit_length() - 1] |= 1 << j
-            rest ^= low
-    return Digraph(n, tuple(rows))
-
-
-def contains_tournament(d: Digraph) -> bool:
-    """Is at least one direction present between every two distinct vertices?"""
-    for i in range(d.order):
-        for j in range(i + 1, d.order):
-            if not (d.rows[i] >> j & 1 or d.rows[j] >> i & 1):
-                return False
-    return True
 
 
 def max_outdegree(d: Digraph) -> int:
@@ -160,7 +127,7 @@ class SearchShape:
                 i, j = pair
             except (TypeError, ValueError):
                 raise FamilyFormatError(f"pair {pair!r} must have exactly two elements")
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in (i, j)):
                 raise FamilyFormatError(f"pair {pair!r} must contain integers")
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise FamilyFormatError(f"pair {pair!r} is not two distinct elements of 1..{n}")
@@ -171,20 +138,6 @@ class SearchShape:
                 raise FamilyFormatError(f"pair {a!r} repeated")
         object.__setattr__(self, "missing_pairs", pairs)
 
-    @classmethod
-    def from_dict(cls, data: object) -> "SearchShape":
-        if not isinstance(data, dict) or set(data) != {"ground", "pairs"}:
-            raise FamilyFormatError(
-                'shape data must have exactly the keys "ground" and "pairs"'
-            )
-        ground = data["ground"]
-        raw = data["pairs"]
-        if isinstance(ground, bool) or not isinstance(ground, int):
-            raise FamilyFormatError('"ground" must be an integer')
-        if not isinstance(raw, list) or not all(isinstance(p, list) for p in raw):
-            raise FamilyFormatError('"pairs" must be a list of two-element lists')
-        return cls(ground, tuple(tuple(p) for p in raw))
-
     def to_dict(self) -> dict:
         return {
             "ground": self.ground_size,
@@ -193,19 +146,6 @@ class SearchShape:
 
     def family_size(self) -> int:
         return self.ground_size + 1 + len(self.missing_pairs)
-
-    def filter_family(self) -> Family:
-        """The image filter: full set, all co-atoms, the pair complements."""
-        n = self.ground_size
-        full = full_mask(n)
-        masks = [full] + [full ^ (1 << i) for i in range(n)]
-        for i, j in self.missing_pairs:
-            masks.append(full ^ (1 << (i - 1)) ^ (1 << (j - 1)))
-        fam = Family(n, tuple(masks))
-        # Adding one element to any pair complement lands on a co-atom, so
-        # this is up-closed as built.
-        assert is_filter(fam) and len(fam) == self.family_size()
-        return fam
 
 
 @dataclass(frozen=True)
@@ -248,12 +188,15 @@ class CounterexampleReport:
             raise FamilyFormatError("report data has the wrong keys")
         family = Family.from_dict(data["family"])
         certificate = Certificate.from_dict(data["certificate"])
-        return cls(
-            family,
-            certificate,
-            tuple(data["frequency"]),
-            data["max_frequency"],
-        )
+        frequency = data["frequency"]
+        peak = data["max_frequency"]
+        if not isinstance(frequency, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in frequency
+        ):
+            raise FamilyFormatError('"frequency" must be a list of integers')
+        if isinstance(peak, bool) or not isinstance(peak, int):
+            raise FamilyFormatError('"max_frequency" must be an integer')
+        return cls(family, certificate, tuple(frequency), peak)
 
     def to_dict(self) -> dict:
         return {
@@ -526,23 +469,6 @@ def _search_solutions(
     return sink
 
 
-def _run_jobs(func: Callable, jobs_for: Callable[[int], list], workers: int) -> list:
-    """func over the jobs that jobs_for(w) splits the work into, in job order.
-
-    w is workers clamped to the CPU count. A single job runs in this
-    process; more go to a process pool with one worker per job.
-    """
-    jobs = jobs_for(min(workers, os.cpu_count() or 1))
-    if len(jobs) == 1:
-        return [func(jobs[0])]
-    # Imported here: the pool machinery costs every single-job command
-    # tens of milliseconds of startup otherwise.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(func, jobs))
-
-
 def _solution_report(
     shape: SearchShape, solution: tuple[tuple[int, ...], tuple[int, ...]]
 ) -> CounterexampleReport:
@@ -631,12 +557,19 @@ def search_counterexamples(
         raise ValueError("workers must be at least 1")
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
-    missing = shape.missing_pairs
+    # One job per worker, clamped to the CPU count; a single job runs in
+    # this process.
+    w = min(workers, os.cpu_count() or 1)
+    jobs = [(n, shape.missing_pairs, k, w) for k in range(w)]
+    if w == 1:
+        parts = [_search_solutions(jobs[0])]
+    else:
+        # Imported here: the pool machinery costs every single-job command
+        # tens of milliseconds of startup otherwise.
+        from concurrent.futures import ProcessPoolExecutor
 
-    def jobs_for(w: int) -> list:
-        return [(n, missing, k, w) for k in range(w)]
-
-    parts = _run_jobs(_search_solutions, jobs_for, workers)
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            parts = list(pool.map(_search_solutions, jobs))
     solutions = [sol for part in parts for sol in part]
     reports = [_solution_report(shape, sol) for sol in solutions]
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
@@ -680,20 +613,18 @@ def _filters(n: int) -> list[tuple[int, ...]]:
     return found
 
 
-def _certified_codes(args: tuple[int, int, int]) -> bytearray:
-    """Mark every family that some filter certifies, filter by filter.
+def _certified_codes(n: int) -> bytearray:
+    """Mark every family over {1..n} that some filter certifies, filter by
+    filter.
 
-    args is (n, part, parts); only the filters whose index is part mod
-    parts are walked, which is how workers split the sweep. For each
-    filter one member a below each image f is placed, keeping [a, f] only
-    if it misses every interval placed so far. Intervals are the lattice
-    bitmasks over the 2**n subsets from certificates._cubes, the format
-    find_certificate decides on. Small images have few members below them, so
-    placing them first keeps the tree narrow near its root. marks[code]
-    is 1 for each completed placement, where bit a of code is set for
-    each placed member a.
+    For each filter one member a below each image f is placed, keeping
+    [a, f] only if it misses every interval placed so far. Intervals are
+    the lattice bitmasks over the 2**n subsets from certificates._cubes,
+    the format find_certificate decides on. Small images have few members
+    below them, so placing them first keeps the tree narrow near its root.
+    marks[code] is 1 for each completed placement, where bit a of code is
+    set for each placed member a.
     """
-    n, part, parts = args
     size = 1 << n
     up, down = _cubes(n)
     # below[f] pairs every a within f with the interval [a, f]
@@ -710,13 +641,12 @@ def _certified_codes(args: tuple[int, int, int]) -> bytearray:
             if not iv & covered:
                 place(images, k + 1, code | 1 << a, covered | iv)
 
-    for index, images in enumerate(_filters(n)):
-        if index % parts == part:
-            place(images, 0, 0, 0)
+    for images in _filters(n):
+        place(images, 0, 0, 0)
     return marks
 
 
-def conjecture_sweep(n: int, workers: int = 1) -> SweepSummary:
+def conjecture_sweep(n: int) -> SweepSummary:
     """Find every family over {1..n} that admits a certificate, and check
     the half-element property on each.
 
@@ -727,16 +657,13 @@ def conjecture_sweep(n: int, workers: int = 1) -> SweepSummary:
     2**(2**n) families less those two. An empty violation list is an
     exhaustive verification for this ground size.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"exhaustive sweep supports ground sizes 1..{ENUMERATION_CAP}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
-    def jobs_for(w: int) -> list:
-        return [(n, k, w) for k in range(w)]
-
-    parts = _run_jobs(_certified_codes, jobs_for, workers)
-    marks = bytearray(map(max, zip(*parts)))  # marked by any worker
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("ground size must be a positive integer")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"exhaustive sweep is supported only up to ground size {ENUMERATION_CAP}"
+        )
+    marks = _certified_codes(n)
     marks[1] = 0  # the bare {{}}
     bad: list[tuple[int, ...]] = []
     for code, hit in enumerate(marks):

@@ -30,10 +30,6 @@ def naive_filter(sets, n: int) -> bool:
     return all(s | {x} in pool for s in pool for x in universe - s)
 
 
-def naive_up_closure(sets, n: int) -> set[frozenset[int]]:
-    return {c for c in all_subsets(n) if any(s <= c for s in sets)}
-
-
 def interval(lo: frozenset[int], hi: frozenset[int]) -> set[frozenset[int]]:
     """Materialize {C : lo <= C <= hi} by enumerating the free elements."""
     assert lo <= hi

@@ -1,5 +1,5 @@
 """Certificate model, disjointness predicates, clause-by-clause
-verification, the exhaustive decision search, and ground reduction.
+verification, and the exhaustive decision search.
 
 Predicates are checked against a materializing oracle over [3] here
 (the [4] exhaustive pass lives in the acceptance suite), and the
@@ -25,7 +25,6 @@ from unionclosed import (
     intervals_disjoint,
     is_union_closed,
     minimal_counterexample,
-    reduce_ground_set,
     reimer_bound_holds,
     verify_certificate,
 )
@@ -314,53 +313,3 @@ def test_found_certificates_respect_the_volume_bound_over_3():
 def test_find_refuses_oversized_ground():
     with pytest.raises(ResourceLimitError):
         find_certificate(Family(13, ()))
-
-
-# ---------------------------------------------------------------- reduce
-
-
-def test_reduce_strips_an_always_present_element():
-    fam = Family(2, (0, 0b01))
-    cert = Certificate(2, ((0, 0b10), (0b01, 0b11)))
-    small_fam, small_cert = reduce_ground_set(fam, cert)
-    assert small_fam == Family(1, (0, 0b1))
-    assert small_cert == Certificate(1, ((0, 0), (0b1, 0b1)))
-    assert verify_certificate(small_fam, small_cert)
-
-
-def test_reduce_leaves_the_minimal_family_alone():
-    report = minimal_counterexample()
-    assert reduce_ground_set(report.family, report.certificate) == (
-        report.family,
-        report.certificate,
-    )
-
-
-def test_reduce_collapses_the_top_family_to_ground_zero():
-    n = 4
-    fam = Family(n, (full_mask(n),))
-    cert = Certificate(n, ((full_mask(n), full_mask(n)),))
-    small_fam, small_cert = reduce_ground_set(fam, cert)
-    assert small_fam == Family(0, (0,))
-    assert small_cert == Certificate(0, ((0, 0),))
-    assert verify_certificate(small_fam, small_cert)
-
-
-def test_reduce_demands_a_verifying_certificate():
-    fam = Family.from_sets(2, [[1]])
-    with pytest.raises(ValueError):
-        reduce_ground_set(fam, Certificate(2, ((0b01, 0b01),)))
-
-
-def test_reduce_preserves_surviving_frequencies():
-    fam = Family.from_sets(3, [[3], [1, 3], [2, 3], [1, 2, 3]])
-    cert = find_certificate(fam)
-    assert cert is not None
-    small_fam, small_cert = reduce_ground_set(fam, cert)
-    assert verify_certificate(small_fam, small_cert)
-    # element 3 is in every image, so it must be the one stripped
-    assert small_fam.ground_size < 3
-    old = [frozenset(elements_of(m)) for m in fam.members]
-    assert sum(1 for s in old if 1 in s) == sum(
-        1 for m in small_fam.members if m & 0b01
-    )

@@ -257,7 +257,17 @@ def test_enumerate_ground_two(capsys):
 
 
 def test_enumerate_rejects_large_ground(capsys):
-    assert main(["enumerate", "--n", "5"]) == 2
+    assert main(["enumerate", "--n", "5"]) == 3
+    assert "refused:" in capsys.readouterr().err
+
+
+def test_enumerate_rejects_empty_ground(capsys):
+    assert main(["enumerate", "--n", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_enumerate_has_no_workers_option(capsys):
+    assert main(["enumerate", "--n", "2", "--workers", "2"]) == 2
 
 
 # ----------------------------------------------------------------- misc

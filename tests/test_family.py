@@ -1,6 +1,6 @@
 """Family model, mask helpers, and the four family verdicts.
 
-The union-closed / filter / up-closure checks are compared against the
+The union-closed and filter checks are compared against the
 set-based oracles in helpers.py exhaustively over [3]; the named
 examples (the 11-set family, power sets, near-trivial families) pin the
 documented behavior.
@@ -25,9 +25,8 @@ from unionclosed import (
     mask_from_elements,
     minimal_counterexample,
     reimer_bound_holds,
-    up_closure,
 )
-from helpers import as_sets, naive_filter, naive_union_closed, naive_up_closure
+from helpers import as_sets, naive_filter, naive_union_closed
 
 
 def exhaustive_families(n):
@@ -151,28 +150,6 @@ def test_filter_examples():
     co_atoms = [[i for i in range(1, 9) if i != j] for j in range(1, 9)]
     fam = Family.from_sets(8, co_atoms + [list(range(1, 9)), [3, 4, 5, 6, 7, 8], [1, 2, 5, 6, 7, 8]])
     assert is_filter(fam)
-
-
-def test_up_closure_matches_oracle_over_3():
-    for fam in exhaustive_families(3):
-        closed = up_closure(fam)
-        assert set(as_sets(closed)) == naive_up_closure(as_sets(fam), 3)
-        assert is_filter(closed)
-        assert all(m in closed for m in fam)
-
-
-def test_up_closure_of_the_two_pair_complements():
-    # only four co-atoms sit above them, so the closure has 7 sets
-    fam = Family.from_sets(8, [[3, 4, 5, 6, 7, 8], [1, 2, 5, 6, 7, 8]])
-    closed = up_closure(fam)
-    assert closed.members == (243, 247, 251, 252, 253, 254, 255)
-    assert len(closed) == 7
-
-
-def test_up_closure_fixed_points():
-    top = Family(5, (0b11111,))
-    assert up_closure(top) == top
-    assert up_closure(Family.from_sets(2, [[1]])).members == (0b01, 0b11)
 
 
 def test_frequency_vector_examples():
