@@ -89,8 +89,6 @@ def test_degree_budget_rejects_underived_cases():
     for bad in (0, 1, 7, -2, True):
         with pytest.raises(ValueError):
             degree_budget_feasible(bad)
-    with pytest.raises(ValueError):
-        degree_budget_feasible(8, num_pairs=1)
 
 
 def test_min_even_ground_size():
@@ -103,7 +101,6 @@ def test_min_even_ground_size():
 def test_shape_normalizes_pairs():
     shape = SearchShape(8, ((4, 3), (2, 1)))
     assert shape.missing_pairs == ((1, 2), (3, 4))
-    assert shape.family_size() == 11
 
 
 @pytest.mark.parametrize(
@@ -227,6 +224,26 @@ def test_two_pair_search_finds_every_labeled_family():
     assert seen == families
 
 
+@pytest.mark.parametrize(
+    "pairs, perm",
+    [
+        # 1->1 2->5 3->2 4->7, the rest onto the free labels in order
+        (((1, 5), (2, 7)), (1, 5, 2, 7, 3, 4, 6, 8)),
+        (((2, 4), (7, 8)), (7, 8, 2, 4, 1, 3, 5, 6)),
+    ],
+)
+def test_relabeled_shape_finds_the_relabeled_families(pairs, perm):
+    # The free pairs are oriented in an order that depends on the labels,
+    # so a relabeled shape walks a different tree to the same families.
+    shape = SearchShape(8, pairs)
+    assert shape.missing_pairs == tuple(
+        sorted(tuple(sorted(perm[e - 1] for e in p)) for p in TWO_PAIRS.missing_pairs)
+    )
+    base = {r.family.members for r in search_counterexamples(TWO_PAIRS)}
+    moved = {r.family.members for r in search_counterexamples(shape)}
+    assert moved == {relabel(members, 8, perm) for members in base}
+
+
 def test_canonical_key_separates_every_orbit_on_ground_three():
     by_key: dict = {}
     by_form: dict = {}
@@ -315,16 +332,17 @@ def serial_pool(monkeypatch):
 def test_worker_count_is_clamped_to_the_cpu_count(
     serial_pool, monkeypatch, cpus, pool_sizes
 ):
-    shape = SearchShape(7, ((1, 2), (3, 4), (5, 6)))
-    expected = search_counterexamples(shape)
+    expected = search_counterexamples(TWO_PAIRS)
     monkeypatch.setattr("unionclosed.search.os.cpu_count", lambda: cpus)
-    assert search_counterexamples(shape, workers=10**6) == expected
+    assert search_counterexamples(TWO_PAIRS, workers=10**6) == expected
     assert serial_pool == pool_sizes
 
 
 def test_infeasible_shapes_come_back_empty():
     assert search_counterexamples(SearchShape(6, ((1, 2), (3, 4)))) == []
     assert search_counterexamples(SearchShape(8, ((1, 2),))) == []
+    # overlapping pairs pass the up-front budget cut and need the backtrack
+    assert search_counterexamples(SearchShape(8, ((1, 2), (2, 3)))) == []
 
 
 def test_search_guards():
