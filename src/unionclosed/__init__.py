@@ -12,7 +12,6 @@ from .certificates import (
     DECISION_CAP,
     Certificate,
     CertificateVerdict,
-    difference_disjoint,
     find_certificate,
     intervals_disjoint,
     verify_certificate,
@@ -42,12 +41,10 @@ from .search import (
     ENUMERATION_CAP,
     SEARCH_CAP,
     CounterexampleReport,
-    Digraph,
     SearchShape,
     SweepSummary,
     conjecture_sweep,
     degree_budget_feasible,
-    max_outdegree,
     min_even_ground_size,
     minimal_counterexample,
     search_counterexamples,
@@ -68,7 +65,6 @@ __all__ = [
     "ReimerVerdict",
     "Certificate",
     "CertificateVerdict",
-    "Digraph",
     "SearchShape",
     "SweepSummary",
     "CounterexampleReport",
@@ -82,11 +78,9 @@ __all__ = [
     "frequency_vector",
     "frankl_check",
     "reimer_bound_holds",
-    "difference_disjoint",
     "intervals_disjoint",
     "verify_certificate",
     "find_certificate",
-    "max_outdegree",
     "degree_budget_feasible",
     "min_even_ground_size",
     "search_counterexamples",

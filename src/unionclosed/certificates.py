@@ -16,8 +16,7 @@ tables of _cubes), so one clash test against the sets covered so far
 catches both interval overlaps and repeated images. Before the search it
 drops every image too small for the family size and every image whose
 cube holds another member; during it, it prunes an up-closure past the
-family size and an overfull volume budget. It is deterministic: same
-family in, same certificate out.
+family size. It is deterministic: same family in, same certificate out.
 """
 
 from __future__ import annotations
@@ -123,17 +122,6 @@ class CertificateVerdict(NamedTuple):
         return self.valid
 
 
-def difference_disjoint(a: int, fa: int, b: int, fb: int) -> bool:
-    """Pair compatibility in set-difference form: a - fb or b - fa is nonempty.
-
-    Requires a <= fa and b <= fb as sets. This is the same predicate as
-    intervals_disjoint, stated the way the pair checks are cheapest.
-    """
-    if a & ~fa or b & ~fb:
-        raise ValueError("malformed pair: member must be contained in its image")
-    return bool(a & ~fb or b & ~fa)
-
-
 def intervals_disjoint(a: int, fa: int, b: int, fb: int) -> bool:
     """Do the cube intervals [a, fa] and [b, fb] share no set?
 
@@ -196,14 +184,6 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
 
 
 @lru_cache(maxsize=None)
-def _superset_candidates(mask: int, ground_size: int) -> tuple[int, ...]:
-    """Supersets of mask, smallest first (by size, then numeric value)."""
-    return tuple(
-        sorted(iter_supersets(mask, ground_size), key=lambda s: (s.bit_count(), s))
-    )
-
-
-@lru_cache(maxsize=None)
 def _cubes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """up[s] and down[s]: the subsets of {1..n} above and below s, as
     bitmasks over the 2**n subsets (bit t stands for the set t), so the
@@ -233,12 +213,11 @@ def find_certificate(fam: Family) -> Certificate | None:
     of a branch is two lattice bitmasks: the sets covered by the
     intervals assigned so far and the up-closure of their images. A
     branch dies as soon as a chosen interval meets a covered set (a
-    repeated image always does, since f lies in both intervals), the
-    up-closure grows past the family size, or the interval volume
-    overfills the budget sum(2**(|F| - |A|)) <= 2**n. The depth-first
-    search runs on an explicit stack, so the member count sets no
-    recursion limit, and backtracking only drops a level. All orders are
-    fixed, so the outcome and the returned witness are deterministic.
+    repeated image always does, since f lies in both intervals) or the
+    up-closure grows past the family size. The depth-first search runs
+    on an explicit stack, so the member count sets no recursion limit,
+    and backtracking only drops a level. All orders are fixed, so the
+    outcome and the returned witness are deterministic.
     None means a proof of nonexistence, not a giving-up.
     """
     n = fam.ground_size
@@ -249,37 +228,29 @@ def find_certificate(fam: Family) -> Certificate | None:
     up, down = _cubes(n)
     members = sorted(fam.members, key=lambda a: (a.bit_count(), a))
     m = len(members)
-    space = 1 << n
     member_bits = sum(1 << a for a in members)
     # An image with more than m supersets can never sit inside an m-set
     # filter, so candidates below that size are dead from the start. So
     # is an image whose cube holds another member b: that cube always
-    # meets [b, F_b] at b.
+    # meets [b, F_b] at b. The rest run smallest first.
     min_size = max(0, n - (m.bit_length() - 1))
     cand = []
     for a in members:
         above = (up[a] & member_bits) ^ 1 << a
-        cand.append(
-            tuple(
-                f
-                for f in _superset_candidates(a, n)
-                if f.bit_count() >= min_size and not down[f] & above
-            )
-        )
+        keep = [
+            f
+            for f in iter_supersets(a, n)
+            if f.bit_count() >= min_size and not down[f] & above
+        ]
+        cand.append(sorted(keep, key=lambda f: (f.bit_count(), f)))
 
     def live(k: int, covered: int, closure: int) -> Iterator[tuple[int, int, int]]:
         """Each image members[k] can take, with the state it leaves."""
-        a = members[k]
-        a_size = a.bit_count()
-        above_a = up[a]
-        room = space - (m - k - 1) - covered.bit_count()
+        above_a = up[members[k]]
         for f in cand[k]:
             iv = above_a & down[f]
             if iv & covered:
                 continue
-            if 1 << (f.bit_count() - a_size) > room:
-                # Candidates only grow, so every later image is too big.
-                break
             grown = closure | up[f]
             if grown.bit_count() <= m:
                 yield f, covered | iv, grown

@@ -60,6 +60,8 @@ def _load_data(path: str) -> object:
         raise FamilyFormatError(
             f"{path} is not valid JSON: {exc.msg} (line {exc.lineno} column {exc.colno})"
         ) from exc
+    except RecursionError as exc:
+        raise FamilyFormatError(f"{path} nests too deeply to parse") from exc
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -221,14 +223,15 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
 def _cmd_search(args: argparse.Namespace) -> int:
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
-    reports = search_counterexamples(
-        shape, limit=args.limit, workers=args.workers, canonical=args.canonical
+    found = search_counterexamples(
+        shape, workers=args.workers, canonical=args.canonical
     )
     elapsed = time.perf_counter() - started
     print(
-        f"search finished in {elapsed:.1f}s with {len(reports)} result(s)",
+        f"search finished in {elapsed:.1f}s with {len(found)} result(s)",
         file=sys.stderr,
     )
+    reports = found[: args.limit]
     # Each mode formats every report, so build only the one printed.
     if args.json:
         payload = {
@@ -250,7 +253,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
             lines.append("  " + " ".join(format_set(m) for m in r.family))
         _emit(args, {}, lines)
-    return 0 if reports else 1
+    # The exit code answers whether the shape admits a family, which
+    # --limit does not change.
+    return 0 if found else 1
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:

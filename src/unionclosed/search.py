@@ -1,6 +1,6 @@
 """Structured search for families that carry an interval certificate while
-no element reaches half the members, plus the digraph bookkeeping behind
-the ground-size lower bound and the exhaustive small-ground sweeps.
+no element reaches half the members, plus the degree budget behind the
+ground-size lower bound and the exhaustive small-ground sweeps.
 
 The searched families have a fixed skeleton over the ground {1..n}: one
 member mapped to the full set, one member A_i mapped to each co-atom
@@ -15,7 +15,7 @@ and the pair-member contents, which is what the backtracking enumerates:
   - element frequencies 1 + outdeg(v) + #{p : v in B_p} stay below half
     the family size, which caps each vertex's combined degree.
 
-The degree caps leave the pair members little room (each B_p is one
+The degree caps leave the pair members little slack (each B_p is one
 element at n = 8 with two pairs), so the search fixes them first and then
 orients the digraph, checking each A_v against the fixed B_p.
 
@@ -33,7 +33,7 @@ certificate.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations, product
 from typing import NamedTuple
 
@@ -57,38 +57,6 @@ SEARCH_CAP = 10
 CANONICAL_CAP = 8
 # The sweep marks families in a 2**(2**n)-byte array: 64 KB at 4, 4 GB at 5.
 ENUMERATION_CAP = 4
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Adjacency over vertices {1..order}: bit j-1 of rows[i-1] is edge (i, j)."""
-
-    order: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.order, bool) or not 0 <= self.order <= MAX_GROUND:
-            raise ValueError(f"order must be in 0..{MAX_GROUND}")
-        rows = tuple(int(r) for r in self.rows)
-        if len(rows) != self.order:
-            raise ValueError("need exactly one adjacency row per vertex")
-        limit = full_mask(self.order)
-        for i, r in enumerate(rows):
-            if r < 0 or r & ~limit:
-                raise ValueError(f"row {i + 1} does not fit {self.order} vertices")
-            if r >> i & 1:
-                raise ValueError(f"self loop at vertex {i + 1}")
-        object.__setattr__(self, "rows", rows)
-
-    def edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i - 1] >> (j - 1) & 1)
-
-    def out_degree(self, i: int) -> int:
-        return self.rows[i - 1].bit_count()
-
-
-def max_outdegree(d: Digraph) -> int:
-    return max((r.bit_count() for r in d.rows), default=0)
 
 
 def degree_budget_feasible(n: int) -> bool:
@@ -152,51 +120,25 @@ class SearchShape:
 class CounterexampleReport:
     """A fully verified find: valid certificate, every element under half.
 
-    Construction re-runs the whole verification, so a report object is
-    itself the proof that the search result is real.
+    Construction derives the frequencies and re-runs the whole
+    verification, so a report object is itself the proof that the search
+    result is real.
     """
 
     family: Family
     certificate: Certificate
-    frequency: tuple[int, ...]
-    max_frequency: int
+    frequency: tuple[int, ...] = field(init=False)
+    max_frequency: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if tuple(self.frequency) != frequency_vector(self.family):
-            raise ValueError("frequency vector does not match the family")
-        if self.max_frequency != max(self.frequency, default=0):
-            raise ValueError("max_frequency does not match the frequency vector")
+        freq = frequency_vector(self.family)
+        object.__setattr__(self, "frequency", freq)
+        object.__setattr__(self, "max_frequency", max(freq, default=0))
         if 2 * self.max_frequency >= len(self.family):
             raise ValueError("not a counterexample: an element reaches half the members")
         verdict = verify_certificate(self.family, self.certificate)
         if not verdict:
             raise ValueError(f"certificate does not verify: {verdict.clause}")
-
-    @classmethod
-    def from_parts(cls, family: Family, certificate: Certificate) -> "CounterexampleReport":
-        freq = frequency_vector(family)
-        return cls(family, certificate, freq, max(freq, default=0))
-
-    @classmethod
-    def from_dict(cls, data: object) -> "CounterexampleReport":
-        if not isinstance(data, dict) or set(data) != {
-            "family",
-            "certificate",
-            "frequency",
-            "max_frequency",
-        }:
-            raise FamilyFormatError("report data has the wrong keys")
-        family = Family.from_dict(data["family"])
-        certificate = Certificate.from_dict(data["certificate"])
-        frequency = data["frequency"]
-        peak = data["max_frequency"]
-        if not isinstance(frequency, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in frequency
-        ):
-            raise FamilyFormatError('"frequency" must be a list of integers')
-        if isinstance(peak, bool) or not isinstance(peak, int):
-            raise FamilyFormatError('"max_frequency" must be an integer')
-        return cls(family, certificate, tuple(frequency), peak)
 
     def to_dict(self) -> dict:
         return {
@@ -242,7 +184,7 @@ def minimal_counterexample() -> CounterexampleReport:
         (mask_from_elements(s, n), img) for s, img in zip(_MINIMAL_MEMBERS, images)
     )
     family = Family(n, tuple(a for a, _ in pairs))
-    return CounterexampleReport.from_parts(family, Certificate(n, pairs))
+    return CounterexampleReport(family, Certificate(n, pairs))
 
 
 def _search_solutions(
@@ -360,7 +302,7 @@ def _solution_report(
     for (i, j), b in zip(shape.missing_pairs, b_members):
         pairs.append((b, full ^ (1 << (i - 1)) ^ (1 << (j - 1))))
     family = Family(n, tuple(a for a, _ in pairs))
-    return CounterexampleReport.from_parts(family, Certificate(n, tuple(pairs)))
+    return CounterexampleReport(family, Certificate(n, tuple(pairs)))
 
 
 def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -411,7 +353,6 @@ def _dedupe_canonical(reports: list[CounterexampleReport]) -> list[Counterexampl
 
 def search_counterexamples(
     shape: SearchShape,
-    limit: int | None = None,
     workers: int = 1,
     canonical: bool = False,
 ) -> list[CounterexampleReport]:
@@ -421,8 +362,8 @@ def search_counterexamples(
     has every element in fewer than half the members. The list is sorted
     by member masks (then images), so any worker count yields the same
     list; the enumeration always completes and an empty result is a
-    proof that the shape admits nothing. limit truncates the sorted
-    output; canonical keeps one representative per relabeling orbit.
+    proof that the shape admits nothing. canonical keeps one
+    representative per relabeling orbit.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -435,8 +376,6 @@ def search_counterexamples(
         )
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be nonnegative")
     # One job per worker, clamped to the CPU count; a single job runs in
     # this process.
     w = min(workers, os.cpu_count() or 1)
@@ -455,8 +394,6 @@ def search_counterexamples(
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
     if canonical:
         reports = _dedupe_canonical(reports)
-    if limit is not None:
-        reports = reports[:limit]
     return reports
 
 

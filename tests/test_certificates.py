@@ -1,7 +1,7 @@
-"""Certificate model, disjointness predicates, clause-by-clause
+"""Certificate model, the interval disjointness predicate, clause-by-clause
 verification, and the exhaustive decision search.
 
-Predicates are checked against a materializing oracle over [3] here
+The predicate is checked against a materializing oracle over [3] here
 (the [4] exhaustive pass lives in the acceptance suite), and the
 decision search is cross-checked against the filter-and-bijection brute
 force over [2] and on random families over [4], and against Reimer's
@@ -18,7 +18,6 @@ from unionclosed import (
     Family,
     FamilyFormatError,
     ResourceLimitError,
-    difference_disjoint,
     elements_of,
     find_certificate,
     full_mask,
@@ -45,13 +44,11 @@ def submasks(mask):
 
 
 def test_disjoint_singletons():
-    assert difference_disjoint(0b01, 0b01, 0b10, 0b10)
     assert intervals_disjoint(0b01, 0b01, 0b10, 0b10)
 
 
 def test_identical_full_intervals_clash():
     full = full_mask(4)
-    assert not difference_disjoint(0, full, 0, full)
     assert not intervals_disjoint(0, full, 0, full)
 
 
@@ -59,7 +56,6 @@ def test_pair_complement_members_are_disjoint():
     # {8} under [8]-{1,2} against {1} under [8]-{3,4}
     a, fa = 1 << 7, full_mask(8) ^ 0b11
     b, fb = 1, full_mask(8) ^ 0b1100
-    assert difference_disjoint(a, fa, b, fb)
     assert intervals_disjoint(a, fa, b, fb)
 
 
@@ -68,7 +64,7 @@ def test_interval_pair_examples_on_2():
     assert not intervals_disjoint(0b00, 0b01, 0b01, 0b11)  # {1} in both
 
 
-@pytest.mark.parametrize("fn", [difference_disjoint, intervals_disjoint])
+@pytest.mark.parametrize("fn", [intervals_disjoint])
 def test_predicates_reject_member_outside_image(fn):
     with pytest.raises(ValueError):
         fn(0b11, 0b01, 0, 0)
@@ -83,9 +79,7 @@ def test_predicates_match_materialized_intervals_over_3():
         ia = interval(frozenset(elements_of(a)), frozenset(elements_of(fa)))
         for b, fb in pairs:
             ib = interval(frozenset(elements_of(b)), frozenset(elements_of(fb)))
-            expect = not (ia & ib)
-            assert difference_disjoint(a, fa, b, fb) == expect
-            assert intervals_disjoint(a, fa, b, fb) == expect
+            assert intervals_disjoint(a, fa, b, fb) == (not (ia & ib))
 
 
 def test_cube_masks_match_materialized_intervals_up_to_3():

@@ -34,6 +34,12 @@ def family_file(tmp_path):
     return write
 
 
+def rebuilt_report(raw):
+    """The report a JSON payload describes; construction re-verifies it."""
+    family = Family.from_dict(raw["family"])
+    return CounterexampleReport(family, Certificate.from_dict(raw["certificate"]))
+
+
 @pytest.fixture()
 def minimal_files(family_file):
     report = minimal_counterexample()
@@ -102,6 +108,13 @@ def test_check_malformed_json(tmp_path, capsys):
     path.write_text('{"ground": 2,')
     assert main(["check", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_check_deeply_nested_json_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["check", str(path)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_check_wrong_schema(family_file, capsys):
@@ -183,7 +196,19 @@ def test_search_with_limit_reports_verify(capsys):
     assert payload["count"] == 3
     assert payload["shape"] == {"ground": 8, "pairs": [[1, 2], [3, 4]]}
     for raw in payload["reports"]:
-        CounterexampleReport.from_dict(raw)  # loudly re-verifies
+        assert rebuilt_report(raw).to_dict() == raw
+
+
+def test_search_limit_truncates_the_sorted_list(capsys):
+    argv = ["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]
+    assert main(argv) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--limit", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"] == full["reports"][:3]
+    # the shape still admits families, so an empty listing is no negative answer
+    assert main(argv + ["--limit", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["count"] == 0 and payload["reports"] == []
 
 
 def test_canonical_search_runs_without_numpy():
@@ -238,8 +263,9 @@ def test_demo_json_round_trips(capsys):
     assert main(["demo", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["pairwise_checks"] == 55
-    report = CounterexampleReport.from_dict(payload["report"])
+    report = rebuilt_report(payload["report"])
     assert report == minimal_counterexample()
+    assert report.to_dict() == payload["report"]
 
 
 # ------------------------------------------------------------- enumerate

@@ -1,5 +1,5 @@
-"""Containment digraphs, degree budgets, the structured shape search,
-and the exhaustive small-ground sweeps.
+"""Degree budgets, the structured shape search, and the exhaustive
+small-ground sweeps.
 
 The n = 8 two-pair search result is validated two independent ways: the
 known 11-set family must appear verbatim, and the full labeled list
@@ -17,7 +17,6 @@ from unionclosed import (
     CANONICAL_CAP,
     Certificate,
     CounterexampleReport,
-    Digraph,
     ENUMERATION_CAP,
     Family,
     FamilyFormatError,
@@ -27,10 +26,8 @@ from unionclosed import (
     conjecture_sweep,
     degree_budget_feasible,
     find_certificate,
-    frequency_vector,
     full_mask,
     is_filter,
-    max_outdegree,
     min_even_ground_size,
     minimal_counterexample,
     search_counterexamples,
@@ -47,29 +44,6 @@ from helpers import (
 )
 
 TWO_PAIRS = SearchShape(8, ((1, 2), (3, 4)))
-
-
-# ---------------------------------------------------------------- digraph
-
-
-def test_digraph_validates_rows():
-    with pytest.raises(ValueError):
-        Digraph(2, (0b01,))  # wrong row count
-    with pytest.raises(ValueError):
-        Digraph(2, (0b01, 0b01))  # self loop at vertex 1
-    with pytest.raises(ValueError):
-        Digraph(2, (0b100, 0))  # row outside the vertex range
-    with pytest.raises(ValueError):
-        Digraph(True, (0,))  # a bool is not an order
-
-
-def test_digraph_accessors():
-    d = Digraph(3, (0b010, 0b100, 0b000))
-    assert d.edge(1, 2) and d.edge(2, 3)
-    assert not d.edge(2, 1) and not d.edge(3, 1)
-    assert [d.out_degree(i) for i in (1, 2, 3)] == [1, 1, 0]
-    assert max_outdegree(d) == 1
-    assert max_outdegree(Digraph(0, ())) == 0
 
 
 # ---------------------------------------------------------------- budgets
@@ -125,32 +99,27 @@ def test_shape_rejects_bad_pairs(pairs):
 
 def test_report_construction_reverifies():
     report = minimal_counterexample()
-    rebuilt = CounterexampleReport.from_parts(report.family, report.certificate)
-    assert rebuilt == report
-    assert CounterexampleReport.from_dict(report.to_dict()) == report
+    assert CounterexampleReport(report.family, report.certificate) == report
+    raw = report.to_dict()
+    rebuilt = CounterexampleReport(
+        Family.from_dict(raw["family"]), Certificate.from_dict(raw["certificate"])
+    )
+    assert rebuilt == report and rebuilt.to_dict() == raw
 
 
 def test_report_rejects_tampering():
     report = minimal_counterexample()
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
+        # the frequencies are derived from the family, never supplied
         CounterexampleReport(report.family, report.certificate, (9,) * 8, 9)
     with pytest.raises(ValueError):
-        CounterexampleReport(report.family, report.certificate, report.frequency, 9)
+        # a certificate of another family fails the coverage clause
+        CounterexampleReport(report.family, Certificate(8, report.certificate.pairs[1:]))
     power = Family(2, (0, 1, 2, 3))
     cert = Certificate(2, ((0, 0), (1, 1), (2, 2), (3, 3)))
     with pytest.raises(ValueError):
         # certified but element 1 reaches half, so not a counterexample
-        CounterexampleReport.from_parts(power, cert)
-    payload = report.to_dict()
-    for key, bad in [
-        ("frequency", 5),
-        ("frequency", None),
-        ("frequency", ["5"] * 8),
-        ("max_frequency", True),
-        ("max_frequency", None),
-    ]:
-        with pytest.raises(FamilyFormatError):
-            CounterexampleReport.from_dict({**payload, key: bad})
+        CounterexampleReport(power, cert)
 
 
 def test_minimal_counterexample_matches_the_known_listing():
@@ -293,12 +262,6 @@ def test_canonical_key_searches_a_single_cell():
     assert _canonical_key(two_squares, 8) != _canonical_key(cycle, 8)
 
 
-def test_search_limit_truncates_the_sorted_list():
-    full = search_counterexamples(TWO_PAIRS)
-    assert search_counterexamples(TWO_PAIRS, limit=3) == full[:3]
-    assert search_counterexamples(TWO_PAIRS, limit=0) == []
-
-
 def test_search_worker_count_does_not_change_results():
     assert search_counterexamples(TWO_PAIRS, workers=3) == search_counterexamples(
         TWO_PAIRS
@@ -350,8 +313,6 @@ def test_search_guards():
         search_counterexamples(SearchShape(SEARCH_CAP + 2, ((1, 2), (3, 4))))
     with pytest.raises(ValueError):
         search_counterexamples(TWO_PAIRS, workers=0)
-    with pytest.raises(ValueError):
-        search_counterexamples(TWO_PAIRS, limit=-1)
     # refused before searching, even for a shape with no solutions
     with pytest.raises(ResourceLimitError):
         search_counterexamples(
