@@ -63,8 +63,12 @@ class Certificate:
                 f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}"
             )
         limit = full_mask(n)
-        pairs = tuple(sorted((int(a), int(f)) for a, f in self.pairs))
+        pairs = tuple(sorted((a, f) for a, f in self.pairs))
         for a, f in pairs:
+            if isinstance(a, bool) or isinstance(f, bool) or not (
+                isinstance(a, int) and isinstance(f, int)
+            ):
+                raise FamilyFormatError(f"pair ({a!r}, {f!r}) must hold integer masks")
             if a < 0 or a & ~limit or f < 0 or f & ~limit:
                 raise FamilyFormatError(
                     f"pair ({a:#x}, {f:#x}) does not fit ground size {n}"

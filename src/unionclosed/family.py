@@ -9,9 +9,11 @@ I/O boundary; bit positions are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import log2
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Masks must stay well under native word width; 30 also keeps 2**n loops sane.
 MAX_GROUND = 30
@@ -95,6 +97,8 @@ class Family:
         limit = full_mask(n)
         prev = -1
         for m in members:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise FamilyFormatError(f"member {m!r} is not an integer mask")
             if m == prev:
                 raise FamilyFormatError(f"duplicate member {format_set(m)}")
             if m < 0 or m & ~limit:
@@ -247,4 +251,8 @@ def reimer_bound_holds(fam: Family) -> ReimerVerdict:
         raise ValueError("family must be nonempty")
     total = sum(x.bit_count() for x in fam.members)
     holds = m**m <= 1 << (2 * total)
+    # Imported here: fractions pulls in decimal, a few milliseconds of
+    # start-up for every command that never asks for this bound.
+    from fractions import Fraction
+
     return ReimerVerdict(holds, Fraction(total, m), log2(m) / 2)

@@ -27,14 +27,16 @@ instead of deciding each of the 2**(2**n) families: it walks every
 nonempty filter over [n], places one member below each image with
 pairwise disjoint intervals, and marks the family each completed
 placement builds. The marked families are exactly those that admit a
-certificate.
+certificate. Each family is handled as its code, the 2**n-bit int with
+bit a set for each member a, and the half-element verdict is taken on
+that code; only violations become Family objects.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, compress, permutations, product
 from typing import NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
@@ -43,7 +45,6 @@ from .family import (
     Family,
     FamilyFormatError,
     ResourceLimitError,
-    frankl_check,
     frequency_vector,
     full_mask,
     mask_from_elements,
@@ -439,8 +440,9 @@ def _certified_codes(n: int) -> bytearray:
     the lattice bitmasks over the 2**n subsets from certificates._cubes,
     the format find_certificate decides on. Small images have few members
     below them, so placing them first keeps the tree narrow near its root.
-    marks[code] is 1 for each completed placement, where bit a of code is
-    set for each placed member a.
+    The last image, the full set, is placed in a flat loop that marks each
+    family directly: marks[code] is 1 for each completed placement, where
+    bit a of code is set for each placed member a.
     """
     size = 1 << n
     up, down = _cubes(n)
@@ -451,8 +453,10 @@ def _certified_codes(n: int) -> bytearray:
     marks = bytearray(1 << size)
 
     def place(images: tuple[int, ...], k: int, code: int, covered: int) -> None:
-        if k == len(images):
-            marks[code] = 1
+        if k + 1 == len(images):
+            for a, iv in below[images[k]]:
+                if not iv & covered:
+                    marks[code | 1 << a] = 1
             return
         for a, iv in below[images[k]]:
             if not iv & covered:
@@ -463,16 +467,42 @@ def _certified_codes(n: int) -> bytearray:
     return marks
 
 
+def _violations(n: int, marks: bytearray) -> tuple[Family, ...]:
+    """The marked families over {1..n} in which no element reaches half
+    the members, sorted by member masks.
+
+    The verdict is frankl_check's predicate taken on the family code:
+    holds[e] has bit a set for each subset a holding element e, so
+    (code & holds[e]).bit_count() is e's frequency and code.bit_count()
+    the family size. Only violations become Family objects. marks must
+    not mark code 0 or 1 (the empty family and the bare {{}}), which
+    carry no element to count.
+    """
+    space = 1 << n
+    holds = [sum(1 << a for a in range(space) if a >> e & 1) for e in range(n)]
+    bad = []
+    for code in compress(range(len(marks)), marks):
+        size = code.bit_count()
+        for h in holds:
+            if 2 * (code & h).bit_count() >= size:
+                break
+        else:
+            bad.append(tuple(a for a in range(space) if code >> a & 1))
+    return tuple(Family(n, members) for members in sorted(bad))
+
+
 def conjecture_sweep(n: int) -> SweepSummary:
     """Find every family over {1..n} that admits a certificate, and check
     the half-element property on each.
 
     Families are built from the filters rather than decided one by one:
     each nonempty filter contributes every family that pairs onto it with
-    pairwise disjoint intervals. The empty family and the bare {{}} are
-    not counted (neither carries an element to count), so scanned is all
-    2**(2**n) families less those two. An empty violation list is an
-    exhaustive verification for this ground size.
+    pairwise disjoint intervals. The verdict is taken on each family's
+    code (see _violations), so only violations become Family objects.
+    The empty family and the bare {{}} are not counted (neither carries
+    an element to count), so scanned is all 2**(2**n) families less
+    those two. An empty violation list is an exhaustive verification for
+    this ground size.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("ground size must be a positive integer")
@@ -482,11 +512,4 @@ def conjecture_sweep(n: int) -> SweepSummary:
         )
     marks = _certified_codes(n)
     marks[1] = 0  # the bare {{}}
-    bad: list[tuple[int, ...]] = []
-    for code, hit in enumerate(marks):
-        if hit:
-            fam = Family(n, tuple(a for a in range(1 << n) if code >> a & 1))
-            if not frankl_check(fam).holds:
-                bad.append(fam.members)
-    violations = tuple(Family(n, members) for members in sorted(bad))
-    return SweepSummary(n, (1 << (1 << n)) - 2, sum(marks), violations)
+    return SweepSummary(n, (1 << (1 << n)) - 2, sum(marks), _violations(n, marks))

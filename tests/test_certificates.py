@@ -108,6 +108,9 @@ def test_certificate_rejects_out_of_range_masks():
         Certificate(2, ((0b100, 0b100),))
     with pytest.raises(FamilyFormatError):
         Certificate(-1, ())
+    for pairs in (((1.9, 3),), ((1, True),), ((False, 3),)):
+        with pytest.raises(FamilyFormatError):
+            Certificate(3, pairs)
 
 
 def test_certificate_dict_round_trip():

@@ -3,17 +3,20 @@
 Exit code contract: 0 for an affirmative outcome, 1 for a legitimate
 negative one, 2 for usage or data errors, 3 for refused resource
 guards, 4 for an internal error. Everything runs in-process through
-main() except a run without numpy and one smoke test of the installed
-entry points.
+main() except a run without numpy, a check of what start-up imports, and
+one smoke test of the installed entry points.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import unionclosed
 from unionclosed import (
     Certificate,
     CounterexampleReport,
@@ -222,6 +225,19 @@ def test_canonical_search_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 7
+
+
+def test_startup_leaves_fractions_unimported():
+    # fractions (with decimal) is only needed for the average-size bound
+    program = "import sys, unionclosed.cli; sys.exit('fractions' in sys.modules)"
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("pairs", ["1,2:3", "1;2", "1,x", "0,2"])

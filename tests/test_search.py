@@ -26,6 +26,7 @@ from unionclosed import (
     conjecture_sweep,
     degree_budget_feasible,
     find_certificate,
+    frankl_check,
     full_mask,
     is_filter,
     min_even_ground_size,
@@ -33,7 +34,7 @@ from unionclosed import (
     search_counterexamples,
     verify_certificate,
 )
-from unionclosed.search import _canonical_key, _certified_codes, _filters
+from unionclosed.search import _canonical_key, _certified_codes, _filters, _violations
 from helpers import (
     as_sets,
     brute_certificate_exists,
@@ -397,6 +398,22 @@ def test_sweep_guards():
             conjecture_sweep(bad)
     with pytest.raises(ResourceLimitError):
         conjecture_sweep(ENUMERATION_CAP + 1)
+
+
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 16), (4, 2303)])
+def test_violation_scan_agrees_with_frankl_check(n, count):
+    # no certified family violates the property at n <= 4, so mark them all
+    space = 1 << n
+    marks = bytearray([1]) * (1 << space)
+    marks[0] = marks[1] = 0
+    expected = []
+    for code in range(2, 1 << space):
+        fam = Family(n, tuple(a for a in range(space) if code >> a & 1))
+        if not frankl_check(fam).holds:
+            expected.append(fam)
+    expected.sort(key=lambda fam: fam.members)
+    assert _violations(n, marks) == tuple(expected)
+    assert len(expected) == count
 
 
 def test_sweep_finds_no_violation_at_small_grounds():
