@@ -13,7 +13,9 @@ negative answer, 2 for usage or data errors, 3 for refused resource
 guards, 4 for an internal error (a fault of this program, never a
 verdict). In --json mode each command prints exactly one JSON document on
 stdout; timing notes go to stderr so identical inputs give identical
-stdout bytes.
+stdout bytes. `search --json` is written report by report from per-mask
+JSON text, and its bytes equal json.dumps(..., sort_keys=True) of the
+reports' to_dict.
 """
 
 from __future__ import annotations
@@ -220,6 +222,35 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _search_json(shape: SearchShape, reports: list) -> str:
+    """The search document, spelled as json.dumps(payload, sort_keys=True).
+
+    The payload is {"shape", "count", "reports": [r.to_dict() ...]} over
+    the CounterexampleReport list. Each distinct mask is encoded once and
+    every report is joined from those texts, so no dict tree is built.
+    """
+    # A verified certificate pairs every member, so its pairs hold every mask.
+    masks = {m for r in reports for pair in r.certificate.pairs for m in pair}
+    texts = {m: json.dumps(list(elements_of(m))) for m in masks}
+    parts = []
+    for r in reports:
+        cert = r.certificate
+        pairs = ", ".join(
+            [f'{{"image": {texts[f]}, "set": {texts[a]}}}' for a, f in cert.pairs]
+        )
+        sets = ", ".join([texts[m] for m in r.family])
+        parts.append(
+            f'{{"certificate": {{"ground": {cert.ground_size}, "pairs": [{pairs}]}},'
+            f' "family": {{"ground": {r.family.ground_size}, "sets": [{sets}]}},'
+            f' "frequency": [{", ".join(map(str, r.frequency))}],'
+            f' "max_frequency": {r.max_frequency}}}'
+        )
+    return (
+        f'{{"count": {len(reports)}, "reports": [{", ".join(parts)}],'
+        f' "shape": {json.dumps(shape.to_dict(), sort_keys=True)}}}'
+    )
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
@@ -231,15 +262,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         f"search finished in {elapsed:.1f}s with {len(found)} result(s)",
         file=sys.stderr,
     )
+    started = time.perf_counter()
     reports = found[: args.limit]
-    # Each mode formats every report, so build only the one printed.
     if args.json:
-        payload = {
-            "shape": shape.to_dict(),
-            "count": len(reports),
-            "reports": [r.to_dict() for r in reports],
-        }
-        _emit(args, payload, [])
+        doc = _search_json(shape, reports)
     else:
         lines = [
             f"shape: ground size {shape.ground_size},"
@@ -252,7 +278,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 f" max frequency {r.max_frequency}"
             )
             lines.append("  " + " ".join(format_set(m) for m in r.family))
-        _emit(args, {}, lines)
+        doc = "\n".join(lines)
+    print(doc)
+    sys.stdout.flush()
+    elapsed = time.perf_counter() - started
+    print(
+        f"output of {len(doc.encode()) + 1} bytes written in {elapsed:.3f}s",
+        file=sys.stderr,
+    )
     # The exit code answers whether the shape admits a family, which
     # --limit does not change.
     return 0 if found else 1

@@ -21,7 +21,9 @@ from unionclosed import (
     Certificate,
     CounterexampleReport,
     Family,
+    SearchShape,
     minimal_counterexample,
+    search_counterexamples,
     verify_certificate,
 )
 from unionclosed.cli import main
@@ -214,6 +216,43 @@ def test_search_limit_truncates_the_sorted_list(capsys):
     assert payload["count"] == 0 and payload["reports"] == []
 
 
+@pytest.mark.parametrize(
+    ("n", "pairs", "extra"),
+    [
+        (8, ((1, 2), (3, 4)), []),
+        (8, ((1, 2), (3, 4)), ["--limit", "3"]),
+        (8, ((1, 2), (3, 4)), ["--limit", "0"]),
+        (8, ((1, 2), (3, 4)), ["--canonical"]),
+        (8, ((2, 7), (4, 6)), []),
+        (7, ((1, 2), (3, 4), (5, 6)), []),
+        (6, ((1, 2), (3, 4)), []),
+    ],
+)
+def test_search_json_is_the_sorted_dict_encoding(n, pairs, extra, capsys):
+    # the writer joins text per mask; its bytes must be those of to_dict
+    shape = SearchShape(n, pairs)
+    found = search_counterexamples(shape, canonical="--canonical" in extra)
+    limit = int(extra[1]) if extra[:1] == ["--limit"] else None
+    reports = found[:limit]
+    expected = json.dumps(
+        {
+            "shape": shape.to_dict(),
+            "count": len(reports),
+            "reports": [r.to_dict() for r in reports],
+        },
+        sort_keys=True,
+    )
+    text = ":".join(f"{i},{j}" for i, j in pairs)
+    code = main(["search", "--n", str(n), "--pairs", text, "--json", *extra])
+    assert code == (0 if found else 1)
+    out, want = capsys.readouterr().out, expected + "\n"
+    if out != want:
+        # pytest's own diff of two 1 MB strings runs for minutes
+        at = next(i for i, (x, y) in enumerate(zip(out + "\0", want + "\0")) if x != y)
+        lo = max(at - 40, 0)
+        pytest.fail(f"stdout differs at {at}: {out[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
 def test_canonical_search_runs_without_numpy():
     program = (
         "import sys\n"
@@ -230,6 +269,23 @@ def test_canonical_search_runs_without_numpy():
 def test_startup_leaves_fractions_unimported():
     # fractions (with decimal) is only needed for the average-size bound
     program = "import sys, unionclosed.cli; sys.exit('fractions' in sys.modules)"
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_startup_leaves_the_process_pool_unimported():
+    # the pool and multiprocessing load only when a search runs jobs in parallel
+    program = (
+        "import sys, unionclosed.cli\n"
+        "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
+        "sys.exit(sorted(loaded) or None)"
+    )
     src = str(Path(unionclosed.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", program],
