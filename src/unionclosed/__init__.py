@@ -36,19 +36,33 @@ from .family import (
     mask_from_elements,
     reimer_bound_holds,
 )
-from .search import (
-    CANONICAL_CAP,
-    ENUMERATION_CAP,
-    SEARCH_CAP,
-    CounterexampleReport,
-    SearchShape,
-    SweepSummary,
-    conjecture_sweep,
-    degree_budget_feasible,
-    min_even_ground_size,
-    minimal_counterexample,
-    search_counterexamples,
+
+# The search module loads on first use of one of its names (PEP 562), so
+# the commands that never search (check, certify) do not compile it.
+_SEARCH_NAMES = frozenset(
+    {
+        "CANONICAL_CAP",
+        "ENUMERATION_CAP",
+        "SEARCH_CAP",
+        "CounterexampleReport",
+        "SearchShape",
+        "SweepSummary",
+        "conjecture_sweep",
+        "degree_budget_feasible",
+        "min_even_ground_size",
+        "minimal_counterexample",
+        "search_counterexamples",
+    }
 )
+
+
+def __getattr__(name: str) -> object:
+    if name in _SEARCH_NAMES:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MAX_GROUND",

@@ -21,7 +21,6 @@ family size. It is deterministic: same family in, same certificate out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -30,6 +29,7 @@ from .family import (
     Family,
     FamilyFormatError,
     ResourceLimitError,
+    _Record,
     elements_of,
     format_set,
     full_mask,
@@ -44,8 +44,7 @@ from .family import (
 DECISION_CAP = 12
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """An ordered list of (member, image) mask pairs over one ground set.
 
     Construction checks only shape (masks inside the ground set) and
@@ -53,8 +52,14 @@ class Certificate:
     verify_certificate so that invalid certificates remain loadable.
     """
 
+    __slots__ = ("ground_size", "pairs")
     ground_size: int
-    pairs: tuple[tuple[int, int], ...] = ()
+    pairs: tuple[tuple[int, int], ...]
+
+    def __init__(self, ground_size: int, pairs: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.ground_size

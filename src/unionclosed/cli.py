@@ -11,20 +11,24 @@ Subcommands:
 Exit codes: 0 for success or an affirmative answer, 1 for a legitimate
 negative answer, 2 for usage or data errors, 3 for refused resource
 guards, 4 for an internal error (a fault of this program, never a
-verdict). In --json mode each command prints exactly one JSON document on
-stdout; timing notes go to stderr so identical inputs give identical
-stdout bytes. `search --json` is written report by report from per-mask
-JSON text, and its bytes equal json.dumps(..., sort_keys=True) of the
-reports' to_dict.
+verdict), 141 (128 + SIGPIPE) when the reader of stdout closes it before
+the output is written. In --json mode each command prints exactly one
+JSON document on stdout; timing notes go to stderr so identical inputs
+give identical stdout bytes. `search` output is written report by report
+from per-mask text; with --json its bytes equal json.dumps(...,
+sort_keys=True) of the reports' to_dict. The search module is imported
+only by the commands that use it (search, demo, enumerate).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .certificates import (
     DECISION_CAP,
@@ -43,12 +47,9 @@ from .family import (
     is_union_closed,
     reimer_bound_holds,
 )
-from .search import (
-    SearchShape,
-    conjecture_sweep,
-    minimal_counterexample,
-    search_counterexamples,
-)
+
+if TYPE_CHECKING:
+    from .search import CounterexampleReport, SearchShape
 
 
 def _load_data(path: str) -> object:
@@ -222,7 +223,7 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _search_json(shape: SearchShape, reports: list) -> str:
+def _search_json(shape: SearchShape, reports: list[CounterexampleReport]) -> str:
     """The search document, spelled as json.dumps(payload, sort_keys=True).
 
     The payload is {"shape", "count", "reports": [r.to_dict() ...]} over
@@ -251,7 +252,29 @@ def _search_json(shape: SearchShape, reports: list) -> str:
     )
 
 
+def _search_lines(
+    shape: SearchShape, reports: list[CounterexampleReport]
+) -> list[str]:
+    """The human search listing; each distinct mask is spelled once."""
+    texts = {m: format_set(m) for m in {m for r in reports for m in r.family}}
+    pairs = " ".join(
+        format_set((1 << (i - 1)) | (1 << (j - 1))) for i, j in shape.missing_pairs
+    )
+    lines = [
+        f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}",
+        f"counterexamples found: {len(reports)}",
+    ]
+    for idx, r in enumerate(reports, start=1):
+        lines.append(
+            f"counterexample {idx}: {len(r.family)} sets, max frequency {r.max_frequency}"
+        )
+        lines.append("  " + " ".join([texts[m] for m in r.family]))
+    return lines
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import SearchShape, search_counterexamples
+
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
     found = search_counterexamples(
@@ -267,18 +290,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.json:
         doc = _search_json(shape, reports)
     else:
-        lines = [
-            f"shape: ground size {shape.ground_size},"
-            f" pairs {' '.join(format_set((1 << (i - 1)) | (1 << (j - 1))) for i, j in shape.missing_pairs) or '(none)'}",
-            f"counterexamples found: {len(reports)}",
-        ]
-        for idx, r in enumerate(reports, start=1):
-            lines.append(
-                f"counterexample {idx}: {len(r.family)} sets,"
-                f" max frequency {r.max_frequency}"
-            )
-            lines.append("  " + " ".join(format_set(m) for m in r.family))
-        doc = "\n".join(lines)
+        doc = "\n".join(_search_lines(shape, reports))
     print(doc)
     sys.stdout.flush()
     elapsed = time.perf_counter() - started
@@ -292,6 +304,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    from .search import minimal_counterexample
+
     report = minimal_counterexample()
     fam = report.family
     cert = report.certificate
@@ -327,6 +341,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .search import conjecture_sweep
+
     summary = conjecture_sweep(args.n)
     payload = {
         "ground": summary.ground_size,
@@ -421,7 +437,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here so that a reader gone early is caught below.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout closed it (say, `| head -1`): no fault of
+        # this program and no verdict. As the signal module docs advise,
+        # stdout now points at os.devnull, so the flush at exit cannot
+        # raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

@@ -35,7 +35,6 @@ that code; only violations become Family objects.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, permutations, product
 from typing import NamedTuple
 
@@ -45,6 +44,7 @@ from .family import (
     Family,
     FamilyFormatError,
     ResourceLimitError,
+    _Record,
     frequency_vector,
     full_mask,
     mask_from_elements,
@@ -82,12 +82,19 @@ def min_even_ground_size() -> int:
     return n
 
 
-@dataclass(frozen=True)
-class SearchShape:
+class SearchShape(_Record):
     """Which pair complements [n] - {i, j} join the co-atoms in the filter."""
 
+    __slots__ = ("ground_size", "missing_pairs")
     ground_size: int
-    missing_pairs: tuple[tuple[int, int], ...] = ()
+    missing_pairs: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self, ground_size: int, missing_pairs: tuple[tuple[int, int], ...] = ()
+    ) -> None:
+        object.__setattr__(self, "ground_size", ground_size)
+        object.__setattr__(self, "missing_pairs", missing_pairs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.ground_size
@@ -117,8 +124,7 @@ class SearchShape:
         }
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(_Record):
     """A fully verified find: valid certificate, every element under half.
 
     Construction derives the frequencies and re-runs the whole
@@ -126,10 +132,16 @@ class CounterexampleReport:
     result is real.
     """
 
+    __slots__ = ("family", "certificate", "frequency", "max_frequency")
     family: Family
     certificate: Certificate
-    frequency: tuple[int, ...] = field(init=False)
-    max_frequency: int = field(init=False)
+    frequency: tuple[int, ...]  # derived
+    max_frequency: int  # derived
+
+    def __init__(self, family: Family, certificate: Certificate) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "certificate", certificate)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         freq = frequency_vector(self.family)
@@ -140,6 +152,10 @@ class CounterexampleReport:
         verdict = verify_certificate(self.family, self.certificate)
         if not verdict:
             raise ValueError(f"certificate does not verify: {verdict.clause}")
+
+    def __reduce__(self) -> tuple:
+        # A copy is verified again, like any other report.
+        return CounterexampleReport, (self.family, self.certificate)
 
     def to_dict(self) -> dict:
         return {

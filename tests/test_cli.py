@@ -2,9 +2,10 @@
 
 Exit code contract: 0 for an affirmative outcome, 1 for a legitimate
 negative one, 2 for usage or data errors, 3 for refused resource
-guards, 4 for an internal error. Everything runs in-process through
-main() except a run without numpy, a check of what start-up imports, and
-one smoke test of the installed entry points.
+guards, 4 for an internal error, 141 when the reader of stdout closes
+it. Everything runs in-process through main() except a run without
+numpy, checks of what start-up imports, and one smoke test of the
+installed entry points.
 """
 
 import json
@@ -22,6 +23,7 @@ from unionclosed import (
     CounterexampleReport,
     Family,
     SearchShape,
+    format_set,
     minimal_counterexample,
     search_counterexamples,
     verify_certificate,
@@ -296,6 +298,42 @@ def test_startup_leaves_the_process_pool_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_startup_leaves_dataclasses_and_search_unimported():
+    # check and certify need neither; every package name still resolves
+    program = (
+        "import sys, unionclosed.cli\n"
+        "loaded = {'dataclasses', 'inspect', 'unionclosed.search'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+        "import unionclosed\n"
+        "for name in unionclosed.__all__:\n"
+        "    getattr(unionclosed, name)\n"
+    )
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_search_human_output_spells_each_member_with_format_set(capsys):
+    # the listing spells each distinct mask once; the text must not change
+    reports = search_counterexamples(SearchShape(8, ((1, 2), (3, 4))))
+    lines = [
+        "shape: ground size 8, pairs {1,2} {3,4}",
+        f"counterexamples found: {len(reports)}",
+    ]
+    for idx, r in enumerate(reports, start=1):
+        lines.append(
+            f"counterexample {idx}: {len(r.family)} sets, max frequency {r.max_frequency}"
+        )
+        lines.append("  " + " ".join(format_set(m) for m in r.family))
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4"]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("pairs", ["1,2:3", "1;2", "1,x", "0,2"])
 def test_search_rejects_bad_pairs(pairs, capsys):
     assert main(["search", "--n", "8", "--pairs", pairs]) == 2
@@ -378,6 +416,41 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "unionclosed" in capsys.readouterr().out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: the named call raises BrokenPipeError
+    (write when the output fills the pipe, flush when it fit the buffer)."""
+
+    def __init__(self, fd, failing):
+        self.fd = fd
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [["demo"], ["enumerate", "--n", "2", "--json"], ["search", "--n", "8", "--pairs", "1,2:3,4"]],
+)
+def test_closed_stdout_exits_141(argv, failing, tmp_path, monkeypatch, capsys):
+    # exit 141 (128 + SIGPIPE), never 0, 1 or 4, with stdout left on os.devnull
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno(), failing))
+        assert main(argv) == 141
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_module_and_script_entry_points():

@@ -8,10 +8,14 @@ canonical representatives under the 192 ground-set permutations that
 preserve the missing-pair structure.
 """
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import unionclosed.search
 
 from unionclosed import (
     CANONICAL_CAP,
@@ -153,6 +157,88 @@ def test_minimal_counterexample_matches_the_known_listing():
         assert image_of[mask] == full ^ (1 << (miss - 1))
     assert image_of[1 << 7] == full ^ 0b11
     assert image_of[1] == full ^ 0b1100
+
+
+# ---------------------------------------------------------------- records
+
+
+def _record_triples():
+    """Per record class: two equal values built apart, and a third value."""
+    report = minimal_counterexample()
+    return {
+        "Family": (Family(3, (5, 1, 0)), Family(3, (0, 1, 5)), Family(3, (0, 1))),
+        "Certificate": (
+            Certificate(2, ((3, 3), (0, 1))),
+            Certificate(2, ((0, 1), (3, 3))),
+            Certificate(2, ((0, 3),)),
+        ),
+        "SearchShape": (
+            SearchShape(8, ((2, 1),)),
+            SearchShape(8, ((1, 2),)),
+            SearchShape(8, ((3, 4),)),
+        ),
+        "CounterexampleReport": (
+            report,
+            CounterexampleReport(report.family, report.certificate),
+            search_counterexamples(TWO_PAIRS)[0],
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "cls", ["Family", "Certificate", "SearchShape", "CounterexampleReport"]
+)
+def test_records_are_frozen_values(cls):
+    triples = _record_triples()
+    a, b, c = triples[cls]
+    assert type(a).__name__ == cls
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != c
+    for name, (other, _, _) in triples.items():
+        if name != cls:
+            assert a != other and other != a
+    name = a.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(a, name, getattr(b, name))
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    fields = ", ".join(f"{f}={getattr(a, f)!r}" for f in a.__slots__)
+    assert repr(a) == f"{cls}({fields})"
+    for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+        assert type(copied) is type(a) and copied == a and hash(copied) == hash(a)
+
+
+def test_records_of_different_classes_never_compare_equal():
+    # same field values, different classes
+    records = [Family(8), Certificate(8), SearchShape(8)]
+    for a, b in itertools.permutations(records, 2):
+        assert a != b and not a == b
+    assert Family(8) != (8, ())
+
+
+def test_record_repr_keeps_the_field_spelling():
+    assert repr(SearchShape(8, ((2, 1),))) == "SearchShape(ground_size=8, missing_pairs=((1, 2),))"
+    assert repr(Family(2, (3, 0))) == "Family(ground_size=2, members=(0, 3))"
+
+
+def test_record_copies_run_the_checks_again(monkeypatch):
+    report = minimal_counterexample()
+    assert report.__reduce__() == (
+        CounterexampleReport, (report.family, report.certificate)
+    )
+    data = pickle.dumps(report)
+    verified = []
+
+    def counting(fam, cert):
+        verified.append(fam)
+        return verify_certificate(fam, cert)
+
+    monkeypatch.setattr(unionclosed.search, "verify_certificate", counting)
+    assert pickle.loads(data) == report and copy.deepcopy(report) == report
+    assert verified == [report.family, report.family]
 
 
 # ----------------------------------------------------------------- search
