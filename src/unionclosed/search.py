@@ -26,10 +26,13 @@ The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
 nonempty filter over [n], places one member below each image with
 pairwise disjoint intervals, and marks the family each completed
-placement builds. The marked families are exactly those that admit a
-certificate. Each family is handled as its code, the 2**n-bit int with
-bit a set for each member a, and the half-element verdict is taken on
-that code; only violations become Family objects.
+placement builds. A member whose interval holds another image of the
+filter is never a candidate, and that cut alone decides the full set's
+member, so the last level marks families in a flat loop with no clash
+test. The marked families are exactly those that admit a certificate.
+Each family is handled as its code, the 2**n-bit int with bit a set for
+each member a, and the half-element verdict is taken on that code; only
+violations become Family objects.
 """
 
 from __future__ import annotations
@@ -456,9 +459,17 @@ def _certified_codes(n: int) -> bytearray:
     the lattice bitmasks over the 2**n subsets from certificates._cubes,
     the format find_certificate decides on. Small images have few members
     below them, so placing them first keeps the tree narrow near its root.
-    The last image, the full set, is placed in a flat loop that marks each
-    family directly: marks[code] is 1 for each completed placement, where
-    bit a of code is set for each placed member a.
+
+    Each filter first drops every candidate a whose interval [a, f] holds
+    another image g: [a, f] would meet [b, g] at g whatever b is, so no
+    completed placement uses a (the dual of find_certificate's cut on
+    images whose cube holds another member). For the last image, the full
+    set, the cut is exact: [a, [n]] meets [b, g] iff a lies within g,
+    whatever b is. So every surviving full-set candidate fits every
+    placement of the other images, and the last level is a flat loop
+    with no clash test that marks each family directly: marks[code] is 1
+    for each completed placement, where bit a of code is set for each
+    placed member a.
     """
     size = 1 << n
     up, down = _cubes(n)
@@ -468,18 +479,24 @@ def _certified_codes(n: int) -> bytearray:
     ]
     marks = bytearray(1 << size)
 
-    def place(images: tuple[int, ...], k: int, code: int, covered: int) -> None:
-        if k + 1 == len(images):
-            for a, iv in below[images[k]]:
-                if not iv & covered:
-                    marks[code | 1 << a] = 1
+    def place(k: int, code: int, covered: int) -> None:
+        if k == last:
+            for bit in tops:
+                marks[code | bit] = 1
             return
-        for a, iv in below[images[k]]:
+        for bit, iv in lists[k]:
             if not iv & covered:
-                place(images, k + 1, code | 1 << a, covered | iv)
+                place(k + 1, code | bit, covered | iv)
 
+    # place reads the current filter's candidates from lists, tops and last
     for images in _filters(n):
-        place(images, 0, 0, 0)
+        held = sum(1 << f for f in images)
+        *lists, top = [
+            [(1 << a, iv) for a, iv in below[f] if iv & held == 1 << f] for f in images
+        ]
+        last = len(lists)
+        tops = [bit for bit, _ in top]
+        place(0, 0, 0)
     return marks
 
 

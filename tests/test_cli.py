@@ -392,6 +392,17 @@ def test_enumerate_ground_two(capsys):
     }
 
 
+def test_enumerate_ground_four(capsys):
+    assert main(["enumerate", "--n", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {
+        "certified": 28736,
+        "ground": 4,
+        "scanned": 65534,
+        "violations": [],
+    }
+
+
 def test_enumerate_rejects_large_ground(capsys):
     assert main(["enumerate", "--n", "5"]) == 3
     assert "refused:" in capsys.readouterr().err

@@ -40,11 +40,13 @@ from unionclosed import (
 )
 from unionclosed.search import _canonical_key, _certified_codes, _filters, _violations
 from helpers import (
+    all_subsets,
     as_sets,
     brute_certificate_exists,
     brute_certified_families,
     brute_filters,
     canonical_form,
+    interval,
     relabel,
 )
 
@@ -459,6 +461,26 @@ def certified_families(n: int) -> list[Family]:
         for code, hit in enumerate(marks)
         if hit
     ]
+
+
+def test_full_set_interval_meets_exactly_the_intervals_above_its_member():
+    # why the sweep places the full set's member without a clash test
+    subsets = all_subsets(4)
+    full = subsets[-1]
+    for a in subsets:
+        for g in subsets:
+            for b in (b for b in subsets if b <= g):
+                assert bool(interval(a, full) & interval(b, g)) == (a <= g)
+
+
+def test_an_interval_holding_another_image_meets_that_image_interval():
+    # why the sweep drops a below f when [a, f] holds another image g
+    subsets = all_subsets(4)
+    for f in subsets:
+        for a in (a for a in subsets if a <= f):
+            for g in interval(a, f) - {f}:
+                for b in (b for b in subsets if b <= g):
+                    assert interval(a, f) & interval(b, g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
