@@ -15,9 +15,10 @@ verdict), 141 (128 + SIGPIPE) when the reader of stdout closes it before
 the output is written. In --json mode each command prints exactly one
 JSON document on stdout; timing notes go to stderr so identical inputs
 give identical stdout bytes. `search` output is written report by report
-from per-mask text; with --json its bytes equal json.dumps(...,
-sort_keys=True) of the reports' to_dict. The search module is imported
-only by the commands that use it (search, demo, enumerate).
+from per-mask text and never held whole; with --json its bytes equal
+json.dumps(..., sort_keys=True) of the reports' to_dict. The search
+module is imported only by the commands that use it (search, demo,
+enumerate).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,6 +51,8 @@ from .family import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .search import CounterexampleReport, SearchShape
 
 
@@ -223,33 +227,36 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _search_json(shape: SearchShape, reports: list[CounterexampleReport]) -> str:
-    """The search document, spelled as json.dumps(payload, sort_keys=True).
+def _search_json(
+    shape: SearchShape, reports: list[CounterexampleReport]
+) -> Iterator[str]:
+    """The search document in pieces whose concatenation is
+    json.dumps(payload, sort_keys=True).
 
     The payload is {"shape", "count", "reports": [r.to_dict() ...]} over
     the CounterexampleReport list. Each distinct mask is encoded once and
-    every report is joined from those texts, so no dict tree is built.
+    every report is joined from those texts, so no dict tree is built,
+    and each report is one piece, so the document is never held whole.
     """
     # A verified certificate pairs every member, so its pairs hold every mask.
     masks = {m for r in reports for pair in r.certificate.pairs for m in pair}
     texts = {m: json.dumps(list(elements_of(m))) for m in masks}
-    parts = []
+    yield f'{{"count": {len(reports)}, "reports": ['
+    sep = ""
     for r in reports:
         cert = r.certificate
         pairs = ", ".join(
             [f'{{"image": {texts[f]}, "set": {texts[a]}}}' for a, f in cert.pairs]
         )
         sets = ", ".join([texts[m] for m in r.family])
-        parts.append(
-            f'{{"certificate": {{"ground": {cert.ground_size}, "pairs": [{pairs}]}},'
+        yield (
+            f'{sep}{{"certificate": {{"ground": {cert.ground_size}, "pairs": [{pairs}]}},'
             f' "family": {{"ground": {r.family.ground_size}, "sets": [{sets}]}},'
             f' "frequency": [{", ".join(map(str, r.frequency))}],'
             f' "max_frequency": {r.max_frequency}}}'
         )
-    return (
-        f'{{"count": {len(reports)}, "reports": [{", ".join(parts)}],'
-        f' "shape": {json.dumps(shape.to_dict(), sort_keys=True)}}}'
-    )
+        sep = ", "
+    yield f'], "shape": {json.dumps(shape.to_dict(), sort_keys=True)}}}'
 
 
 def _search_lines(
@@ -288,14 +295,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     reports = found[: args.limit]
     if args.json:
-        doc = _search_json(shape, reports)
+        pieces = _search_json(shape, reports)
     else:
-        doc = "\n".join(_search_lines(shape, reports))
-    print(doc)
+        pieces = ["\n".join(_search_lines(shape, reports))]
+    size = 0
+    for piece in chain(pieces, ["\n"]):
+        sys.stdout.write(piece)
+        size += len(piece.encode())
     sys.stdout.flush()
     elapsed = time.perf_counter() - started
     print(
-        f"output of {len(doc.encode()) + 1} bytes written in {elapsed:.3f}s",
+        f"output of {size} bytes written in {elapsed:.3f}s",
         file=sys.stderr,
     )
     # The exit code answers whether the shape admits a family, which

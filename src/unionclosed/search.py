@@ -2,25 +2,11 @@
 no element reaches half the members, plus the degree budget behind the
 ground-size lower bound and the exhaustive small-ground sweeps.
 
-The searched families have a fixed skeleton over the ground {1..n}: one
-member mapped to the full set, one member A_i mapped to each co-atom
-[n] - {i}, and one member B_p mapped to [n] - p for each chosen element
-pair p. Under the canonical images the pairwise interval checks reduce
-to statements about the containment digraph (edge (i, j) iff i in A_j)
-and the pair-member contents, which is what the backtracking enumerates:
-
-  - every two co-atom members must see each other (tournament edges),
-  - A_v must meet p unless v is in B_p,
-  - B_p must meet q or B_q meet p for any two pairs p and q,
-  - element frequencies 1 + outdeg(v) + #{p : v in B_p} stay below half
-    the family size, which caps each vertex's combined degree.
-
-The degree caps leave the pair members little slack (each B_p is one
-element at n = 8 with two pairs), so the search fixes them first and then
-orients the digraph, checking each A_v against the fixed B_p.
-
-Everything is enumerated in fixed orders and the final report list is
-sorted, so search results are identical for any worker count.
+The searched families have a fixed skeleton: the full set, the co-atoms
+and chosen pair complements as images. The backtrack over it lives in
+skeleton.py; here each of its solutions becomes a CounterexampleReport,
+which re-runs the full verification, and the reports are sorted, so
+search results are identical for any worker count.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
@@ -38,7 +24,7 @@ violations become Family objects.
 from __future__ import annotations
 
 import os
-from itertools import chain, combinations, compress, permutations, product
+from itertools import chain, compress, permutations, product
 from typing import NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
@@ -52,6 +38,7 @@ from .family import (
     full_mask,
     mask_from_elements,
 )
+from .skeleton import _search_solutions
 
 # The orientation space grows like 3**(n choose 2); 10 is where exhausting
 # it stops being a coffee-break job even with the budget pruning.
@@ -205,110 +192,6 @@ def minimal_counterexample() -> CounterexampleReport:
     )
     family = Family(n, tuple(a for a, _ in pairs))
     return CounterexampleReport(family, Certificate(n, pairs))
-
-
-def _search_solutions(
-    args: tuple[int, tuple[tuple[int, int], ...], int, int]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Choose the pair members, then orient the co-atom digraph under them.
-
-    args is (n, missing, part, parts). Returns (a_members, b_members) mask
-    tuples; a_members[v] is A_{v+1}, b_members[k] belongs to the k-th
-    missing pair. Each complete choice of pair members is one unit of
-    work. Units are numbered in the order the walk reaches them, and only
-    those numbered part mod parts are searched, which is how workers split
-    the space; parts = 1 searches everything. Within a unit each free pair
-    takes one of three choices: low beats high, high beats low, or both.
-    """
-    n, missing, part, parts = args
-    sink: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    m = n + 1 + len(missing)
-    # Frequency of every element must stay below m/2; the full-set member
-    # contributes 1, so outdeg(v) + #B's containing v is capped here.
-    cap = (m + 1) // 2 - 2
-    miss0 = [(i - 1, j - 1) for i, j in missing]
-    pmasks = [(1 << i) | (1 << j) for i, j in miss0]
-
-    # Both directions are forced inside each missing pair: the interval
-    # checks between A_i, A_j and B_p demand i in A_j and j in A_i.
-    a_in = [0] * n  # a_in[v] = current members of A_{v+1}
-    for i, j in miss0:
-        a_in[i] |= 1 << j
-        a_in[j] |= 1 << i
-    base_load = [sum(a >> v & 1 for a in a_in) for v in range(n)]
-
-    # Free pairs inside the missing pairs first, then those with one other
-    # endpoint grouped by it, then the rest, so the checks on A_v fire
-    # early; plain label order ran 30-50 times slower on relabeled shapes.
-    inside = {e for pair in miss0 for e in pair}
-    ordered = sorted(
-        (p for p in combinations(range(n), 2) if (1 << p[0]) | (1 << p[1]) not in pmasks),
-        key=lambda p: (sum(e not in inside for e in p), [e for e in p if e not in inside]),
-    )
-    index_of = {p: t for t, p in enumerate(ordered)}
-
-    # A_v must meet p_k unless v is in B_k; check it once both pairs of v
-    # with an element of p_k are oriented. A missing pair that already puts
-    # an element of p_k into A_v (v in p_k among them) needs no check.
-    check_after: list[list[tuple[int, int]]] = [[] for _ in ordered]
-    for k, (i, j) in enumerate(miss0):
-        for v in range(n):
-            if not a_in[v] & pmasks[k]:
-                t = max(index_of[min(v, i), max(v, i)], index_of[min(v, j), max(v, j)])
-                check_after[t].append((v, k))
-
-    # Each orientation step costs at least one degree unit, so the pair
-    # members share what is left. Every B_k is nonempty: were it empty, the
-    # two elements of p_k would land in more than half the members.
-    slack = n * cap - sum(base_load) - len(ordered)
-    if slack < 0 or max(base_load) > cap:
-        return sink
-    units: list[tuple[tuple[int, ...], list[int], int]] = []
-    by_size = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
-
-    def choose(chosen: tuple[int, ...], left: int, load: list[int]) -> None:
-        """Extend the pair members chosen so far by every B_k that fits in
-        the slack left; load[v] is outdeg(v) plus the members holding v."""
-        k = len(chosen)
-        if k == len(pmasks):
-            units.append((chosen, load, left))
-            return
-        pm = pmasks[k]
-        for b in by_size:
-            if b.bit_count() > left:
-                break
-            more = [d + (b >> v & 1) for v, d in enumerate(load)]
-            if not b & pm and max(more) <= cap and all(
-                b & pmasks[q] or chosen[q] & pm for q in range(k)
-            ):
-                choose(chosen + (b,), left - b.bit_count(), more)
-
-    def orient(t: int, spare: int) -> None:
-        """Orient the free pairs from step t on under the unit's load and
-        checks; spare is how many more of them may go both ways."""
-        if t == len(ordered):
-            sink.append((tuple(a_in), bs))
-            return
-        i, j = ordered[t]
-        for win_i, win_j in ((1, 0), (0, 1), (1, 1)):
-            if load[i] + win_i > cap or load[j] + win_j > cap or win_i + win_j > spare + 1:
-                continue
-            load[i] += win_i
-            load[j] += win_j
-            a_in[j] ^= win_i << i
-            a_in[i] ^= win_j << j
-            if all(a_in[v] & pm for v, pm in checks[t]):
-                orient(t + 1, spare + 1 - win_i - win_j)
-            load[i] -= win_i
-            load[j] -= win_j
-            a_in[j] ^= win_i << i
-            a_in[i] ^= win_j << j
-
-    choose((), slack, base_load)
-    for bs, load, spare in units[part::parts]:
-        checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
-        orient(0, spare)
-    return sink
 
 
 def _solution_report(

@@ -3,7 +3,9 @@
 Everything here works on frozensets of 1-based elements with naive
 enumeration and deliberately shares no code with the bitmask modules
 under test, so agreement between the two is evidence rather than a
-restatement of the implementation.
+restatement of the implementation. The one exception is
+unit_by_unit_solutions, a frozen copy of the two-pair search without
+its symmetry reduction, kept as the oracle for that reduction.
 """
 
 from __future__ import annotations
@@ -160,3 +162,103 @@ def all_tournaments(k: int):
             else:
                 rows[j] |= 1 << i
         yield tuple(rows)
+
+
+def unit_by_unit_solutions(
+    n: int, missing: tuple[tuple[int, int], ...]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The two-pair search's solutions as (a_members, b_members) mask
+    tuples, found by backtracking every pair-member unit on its own.
+
+    A copy of the search as it stood before it oriented one unit per
+    orbit of the pair-set relabelings, kept as the oracle for that
+    reduction: it uses no relabeling at all.
+    """
+    sink: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    m = n + 1 + len(missing)
+    # Frequency of every element must stay below m/2; the full-set member
+    # contributes 1, so outdeg(v) + #B's containing v is capped here.
+    cap = (m + 1) // 2 - 2
+    miss0 = [(i - 1, j - 1) for i, j in missing]
+    pmasks = [(1 << i) | (1 << j) for i, j in miss0]
+
+    # Both directions are forced inside each missing pair: the interval
+    # checks between A_i, A_j and B_p demand i in A_j and j in A_i.
+    a_in = [0] * n  # a_in[v] = current members of A_{v+1}
+    for i, j in miss0:
+        a_in[i] |= 1 << j
+        a_in[j] |= 1 << i
+    base_load = [sum(a >> v & 1 for a in a_in) for v in range(n)]
+
+    # Free pairs inside the missing pairs first, then those with one other
+    # endpoint grouped by it, then the rest, so the checks on A_v fire
+    # early; plain label order ran 30-50 times slower on relabeled shapes.
+    inside = {e for pair in miss0 for e in pair}
+    ordered = sorted(
+        (p for p in itertools.combinations(range(n), 2) if (1 << p[0]) | (1 << p[1]) not in pmasks),
+        key=lambda p: (sum(e not in inside for e in p), [e for e in p if e not in inside]),
+    )
+    index_of = {p: t for t, p in enumerate(ordered)}
+
+    # A_v must meet p_k unless v is in B_k; check it once both pairs of v
+    # with an element of p_k are oriented. A missing pair that already puts
+    # an element of p_k into A_v (v in p_k among them) needs no check.
+    check_after: list[list[tuple[int, int]]] = [[] for _ in ordered]
+    for k, (i, j) in enumerate(miss0):
+        for v in range(n):
+            if not a_in[v] & pmasks[k]:
+                t = max(index_of[min(v, i), max(v, i)], index_of[min(v, j), max(v, j)])
+                check_after[t].append((v, k))
+
+    # Each orientation step costs at least one degree unit, so the pair
+    # members share what is left. Every B_k is nonempty: were it empty, the
+    # two elements of p_k would land in more than half the members.
+    slack = n * cap - sum(base_load) - len(ordered)
+    if slack < 0 or max(base_load) > cap:
+        return sink
+    units: list[tuple[tuple[int, ...], list[int], int]] = []
+    by_size = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
+
+    def choose(chosen: tuple[int, ...], left: int, load: list[int]) -> None:
+        """Extend the pair members chosen so far by every B_k that fits in
+        the slack left; load[v] is outdeg(v) plus the members holding v."""
+        k = len(chosen)
+        if k == len(pmasks):
+            units.append((chosen, load, left))
+            return
+        pm = pmasks[k]
+        for b in by_size:
+            if b.bit_count() > left:
+                break
+            more = [d + (b >> v & 1) for v, d in enumerate(load)]
+            if not b & pm and max(more) <= cap and all(
+                b & pmasks[q] or chosen[q] & pm for q in range(k)
+            ):
+                choose(chosen + (b,), left - b.bit_count(), more)
+
+    def orient(t: int, spare: int) -> None:
+        """Orient the free pairs from step t on under the unit's load and
+        checks; spare is how many more of them may go both ways."""
+        if t == len(ordered):
+            sink.append((tuple(a_in), bs))
+            return
+        i, j = ordered[t]
+        for win_i, win_j in ((1, 0), (0, 1), (1, 1)):
+            if load[i] + win_i > cap or load[j] + win_j > cap or win_i + win_j > spare + 1:
+                continue
+            load[i] += win_i
+            load[j] += win_j
+            a_in[j] ^= win_i << i
+            a_in[i] ^= win_j << j
+            if all(a_in[v] & pm for v, pm in checks[t]):
+                orient(t + 1, spare + 1 - win_i - win_j)
+            load[i] -= win_i
+            load[j] -= win_j
+            a_in[j] ^= win_i << i
+            a_in[i] ^= win_j << j
+
+    choose((), slack, base_load)
+    for bs, load, spare in units:
+        checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
+        orient(0, spare)
+    return sink

@@ -302,7 +302,8 @@ def test_startup_leaves_dataclasses_and_search_unimported():
     # check and certify need neither; every package name still resolves
     program = (
         "import sys, unionclosed.cli\n"
-        "loaded = {'dataclasses', 'inspect', 'unionclosed.search'} & set(sys.modules)\n"
+        "loaded = {'dataclasses', 'inspect', 'unionclosed.search', 'unionclosed.skeleton'}"
+        " & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
         "import unionclosed\n"
         "for name in unionclosed.__all__:\n"

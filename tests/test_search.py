@@ -10,12 +10,14 @@ preserve the missing-pair structure.
 
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import unionclosed.search
+import unionclosed.skeleton
 
 from unionclosed import (
     CANONICAL_CAP,
@@ -39,6 +41,7 @@ from unionclosed import (
     verify_certificate,
 )
 from unionclosed.search import _canonical_key, _certified_codes, _filters, _violations
+from unionclosed.skeleton import _pair_symmetries, _search_solutions, _unit_orbits
 from helpers import (
     all_subsets,
     as_sets,
@@ -48,6 +51,7 @@ from helpers import (
     canonical_form,
     interval,
     relabel,
+    unit_by_unit_solutions,
 )
 
 TWO_PAIRS = SearchShape(8, ((1, 2), (3, 4)))
@@ -300,6 +304,100 @@ def test_relabeled_shape_finds_the_relabeled_families(pairs, perm):
     base = {r.family.members for r in search_counterexamples(TWO_PAIRS)}
     moved = {r.family.members for r in search_counterexamples(shape)}
     assert moved == {relabel(members, 8, perm) for members in base}
+
+
+@pytest.mark.parametrize(
+    "n, pairs",
+    [
+        (8, ((1, 2), (3, 4))),
+        (8, ((1, 3), (4, 6))),
+        (8, ((2, 7), (4, 5))),
+        (8, ((1, 2), (2, 3))),  # no solutions
+        (6, ((1, 2), (3, 4))),
+        (7, ((1, 2), (3, 4))),
+        # three pairs at n = 7 do have solutions; the path 1-2-3-4 also has
+        # a symmetry, (1 4)(2 3), that the relabelings tried do not reach
+        (7, ((1, 2), (3, 4), (5, 6))),
+        (7, ((1, 2), (3, 4), (4, 5))),
+        (7, ((1, 2), (2, 3), (3, 4))),
+    ],
+)
+def test_orbit_search_matches_the_unit_by_unit_oracle(n, pairs):
+    pairs = SearchShape(n, pairs).missing_pairs
+    expected = sorted(unit_by_unit_solutions(n, pairs))
+    for parts in (1, 2, 3):
+        got = [s for part in range(parts) for s in _search_solutions((n, pairs, part, parts))]
+        assert sorted(got) == expected
+
+
+def _group_order(gens, n):
+    """Size of the permutation group of range(n) generated by gens."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[e] for e in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def _pair_sets(n):
+    edges = list(itertools.combinations(range(n), 2))
+    for k in range(3):
+        yield from itertools.combinations(edges, k)
+    if n >= 6:
+        yield from (((0, 1), (2, 3), (4, 5)), ((0, 1), (1, 2), (2, 3)), ((0, 1), (0, 2), (0, 3)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_pair_symmetries_against_brute_force(n):
+    for pairs in _pair_sets(n):
+        as_set = {frozenset(p) for p in pairs}
+        stabilizer = [
+            s for s in itertools.permutations(range(n))
+            if {frozenset(s[e] for e in p) for p in pairs} == as_set
+        ]
+        found = _pair_symmetries(n, list(pairs))
+        for sigma, pi in found:
+            assert sigma in stabilizer
+            for k, (i, j) in enumerate(pairs):
+                assert {sigma[i], sigma[j]} == set(pairs[pi[k]])
+        order = _group_order([sigma for sigma, _ in found], n)
+        disjoint = len({e for p in pairs for e in p}) == 2 * len(pairs)
+        if disjoint:
+            k = len(pairs)
+            assert order == 2**k * math.factorial(k) * math.factorial(n - 2 * k)
+        if disjoint or len(pairs) <= 2:
+            assert order == len(stabilizer)
+    assert _group_order([s for s, _ in _pair_symmetries(6, [(0, 1), (2, 3)])], 6) == 16
+
+
+def test_two_pair_units_form_two_orbits(monkeypatch):
+    seen = []
+
+    def spy(units, n, symmetries):
+        seen.append((units, _unit_orbits(units, n, symmetries)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(unionclosed.skeleton, "_unit_orbits", spy)
+    _search_solutions((8, TWO_PAIRS.missing_pairs, 0, 1))
+    (units, orbits), = seen
+    assert len(units) == 20
+    assert sorted(len(orbit) for orbit in orbits) == [4, 16]
+    assert sorted(u for orbit in orbits for u, _ in orbit) == list(range(20))
+    # each recorded relabeling maps the orbit's first unit onto the unit
+    pair_index = {frozenset(p): k for k, p in enumerate(((0, 1), (2, 3)))}
+    for orbit in orbits:
+        first = units[orbit[0][0]]
+        for u, sigma in orbit:
+            moved = [0, 0]
+            for k, p in enumerate(((0, 1), (2, 3))):
+                image = pair_index[frozenset(sigma[e] for e in p)]
+                moved[image] = sum(1 << sigma[e] for e in range(8) if first[k] >> e & 1)
+            assert tuple(moved) == units[u]
 
 
 def test_canonical_key_separates_every_orbit_on_ground_three():
