@@ -8,15 +8,18 @@ A certificate pairs every member A of a family with an image F_A so that
   - the cube intervals [A, F_A] are pairwise disjoint.
 
 Verification names the first violated clause instead of returning a bare
-bool, so broken certificates can be loaded and diagnosed. The searcher
-decides existence exhaustively for ground sizes up to DECISION_CAP, by a
-depth-first search on an explicit stack that takes the members smallest
-first. Each cube [A, F_A] is a bitmask over the 2**n subsets (the lattice
-tables of _cubes), so one clash test against the sets covered so far
-catches both interval overlaps and repeated images. Before the search it
-drops every image too small for the family size and every image whose
-cube holds another member; during it, it prunes an up-closure past the
-family size. It is deterministic: same family in, same certificate out.
+bool, so broken certificates can be loaded and diagnosed. Up to
+DECISION_CAP it accepts on the lattice bitmasks described below; a
+failing certificate, and any above the cap, is checked clause by clause
+with pairwise interval tests. The searcher decides existence
+exhaustively for ground sizes up to DECISION_CAP, by a depth-first
+search on an explicit stack that takes the members smallest first. Each
+cube [A, F_A] is a bitmask over the 2**n subsets (the lattice tables of
+_cubes), so one clash test against the sets covered so far catches both
+interval overlaps and repeated images. Before the search it drops every
+image too small for the family size and every image whose cube holds
+another member; during it, it prunes an up-closure past the family
+size. It is deterministic: same family in, same certificate out.
 """
 
 from __future__ import annotations
@@ -68,7 +71,11 @@ class Certificate(_Record):
                 f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}"
             )
         limit = full_mask(n)
-        pairs = tuple(sorted((a, f) for a, f in self.pairs))
+        pairs = tuple(self.pairs)
+        try:
+            pairs = tuple(sorted((a, f) for a, f in pairs))
+        except TypeError:  # a non-integer mask, named by the loop below
+            pass
         for a, f in pairs:
             if isinstance(a, bool) or isinstance(f, bool) or not (
                 isinstance(a, int) and isinstance(f, int)
@@ -148,6 +155,13 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
     Clause order: coverage, bijectivity, containment, filter,
     disjointness. The first failure is reported with the offending sets;
     later clauses are not evaluated. Ground sizes must match.
+
+    Up to DECISION_CAP a valid certificate is accepted on the _cubes
+    bitmasks, which test every clause at once: an empty interval fails
+    containment, a repeated image lies in two intervals, the images are
+    a filter iff their up-sets add nothing, and the intervals are
+    disjoint iff each misses the union of those before it. A failure
+    there, and any ground above the cap, goes clause by clause.
     """
     if fam.ground_size != cert.ground_size:
         raise ValueError(
@@ -157,6 +171,20 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
         return CertificateVerdict(
             False, "coverage", "pair members do not match the family exactly"
         )
+    n = cert.ground_size
+    if n <= DECISION_CAP:
+        up, down = _cubes(n)
+        covered = held = closure = 0
+        for a, f in cert.pairs:
+            iv = up[a] & down[f]
+            if not iv or iv & covered:
+                break
+            covered |= iv
+            held |= 1 << f
+            closure |= up[f]
+        else:
+            if closure == held:
+                return CertificateVerdict(True, None, None)
     seen: set[int] = set()
     for _, f in cert.pairs:
         if f in seen:

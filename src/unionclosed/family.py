@@ -138,7 +138,11 @@ class Family(_Record):
             raise FamilyFormatError(
                 f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}"
             )
-        members = tuple(sorted(self.members))
+        members = tuple(self.members)
+        try:
+            members = tuple(sorted(members))
+        except TypeError:  # a non-integer member, named by the loop below
+            pass
         limit = full_mask(n)
         prev = -1
         for m in members:

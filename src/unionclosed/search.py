@@ -6,7 +6,9 @@ The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images. The backtrack over it lives in
 skeleton.py; here each of its solutions becomes a CounterexampleReport,
 which re-runs the full verification, and the reports are sorted, so
-search results are identical for any worker count.
+search results are identical for any worker count. The backtrack returns
+its solutions in groups of relabelings of one another, so canonical
+dedup computes one key per group.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
@@ -243,17 +245,6 @@ def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
     )
 
 
-def _dedupe_canonical(reports: list[CounterexampleReport]) -> list[CounterexampleReport]:
-    seen: set[tuple[int, ...]] = set()
-    out = []
-    for r in reports:
-        key = _canonical_key(r.family.members, r.family.ground_size)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
-
-
 def search_counterexamples(
     shape: SearchShape,
     workers: int = 1,
@@ -266,7 +257,9 @@ def search_counterexamples(
     by member masks (then images), so any worker count yields the same
     list; the enumeration always completes and an empty result is a
     proof that the shape admits nothing. canonical keeps one
-    representative per relabeling orbit.
+    representative per relabeling orbit, the first in that order, and
+    computes one canonical key per group of solutions the backtrack
+    returns, since a group holds relabelings of one family.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -292,12 +285,24 @@ def search_counterexamples(
 
         with ProcessPoolExecutor(max_workers=w) as pool:
             parts = list(pool.map(_search_solutions, jobs))
-    solutions = [sol for part in parts for sol in part]
-    reports = [_solution_report(shape, sol) for sol in solutions]
-    reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
-    if canonical:
-        reports = _dedupe_canonical(reports)
-    return reports
+    groups = [group for part in parts for group in part]
+
+    def order(r: CounterexampleReport) -> tuple:
+        return r.family.members, r.certificate.pairs
+
+    if not canonical:
+        reports = [_solution_report(shape, sol) for group in groups for sol in group]
+        reports.sort(key=order)
+        return reports
+    # A group's families are relabelings of one another, so they share one
+    # key; each key keeps its least report, as a scan of the sorted list would.
+    least: dict[tuple[int, ...], CounterexampleReport] = {}
+    for group in groups:
+        report = min((_solution_report(shape, sol) for sol in group), key=order)
+        key = _canonical_key(report.family.members, n)
+        if key not in least or order(report) < order(least[key]):
+            least[key] = report
+    return sorted(least.values(), key=order)
 
 
 class SweepSummary(NamedTuple):

@@ -25,9 +25,11 @@ solutions are relabeled onto the rest (20 units in 2 orbits for pairs
 {1,2} and {3,4} at n = 8). Workers are dealt orbit representatives,
 part mod parts.
 
-Everything is enumerated in fixed orders. search.py turns every
-solution, oriented or relabeled, into a CounterexampleReport, which
-re-runs the full verification, and sorts the reports.
+Everything is enumerated in fixed orders. Solutions come in groups: one
+found at an orbit representative, then its relabelings onto the rest of
+the orbit. search.py turns every solution, oriented or relabeled, into a
+CounterexampleReport, which re-runs the full verification, and sorts the
+reports; canonical dedup computes one key per group.
 
 It is a module of its own because Python compiles each module's source
 as a whole, and the compile's peak memory grows with the module: two
@@ -102,10 +104,13 @@ def _unit_orbits(
 
 def _search_solutions(
     args: tuple[int, tuple[tuple[int, int], ...], int, int]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Choose the pair members, then orient the co-atom digraph under them.
 
-    args is (n, missing, part, parts). Returns (a_members, b_members) mask
+    args is (n, missing, part, parts). Returns the solutions in groups,
+    each an orbit representative's solution followed by its relabelings
+    onto the rest of the orbit, so a group's families are relabelings of
+    one another. A solution is an (a_members, b_members) pair of mask
     tuples; a_members[v] is A_{v+1}, b_members[k] belongs to the k-th
     missing pair. Each complete choice of pair members is one unit of
     work. A relabeling that maps the set of missing pairs onto itself
@@ -120,7 +125,7 @@ def _search_solutions(
     low beats high, high beats low, or both.
     """
     n, missing, part, parts = args
-    sink: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    sink: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     m = n + 1 + len(missing)
     # Frequency of every element must stay below m/2; the full-set member
     # contributes 1, so outdeg(v) + #B's containing v is capped here.
@@ -210,11 +215,15 @@ def _search_solutions(
         checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
         found: list[tuple[int, ...]] = []
         orient(0, spare)
+        # A'[sigma(v)] = sigma(A_v), with table[a] = sigma(a) for every a
+        moves = []
         for u, sigma in orbit:
-            # A'[sigma(v)] = sigma(A_v), with table[a] = sigma(a) for every a
             table = [0]
             for e in sigma:
                 table += [x | 1 << e for x in table]
-            inverse = sorted(range(n), key=sigma.__getitem__)
-            sink.extend((tuple([table[a[v]] for v in inverse]), units[u][0]) for a in found)
+            moves.append((table, sorted(range(n), key=sigma.__getitem__), units[u][0]))
+        sink.extend(
+            [(tuple([table[a[v]] for v in inverse]), b) for table, inverse, b in moves]
+            for a in found
+        )
     return sink

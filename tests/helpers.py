@@ -3,9 +3,12 @@
 Everything here works on frozensets of 1-based elements with naive
 enumeration and deliberately shares no code with the bitmask modules
 under test, so agreement between the two is evidence rather than a
-restatement of the implementation. The one exception is
-unit_by_unit_solutions, a frozen copy of the two-pair search without
-its symmetry reduction, kept as the oracle for that reduction.
+restatement of the implementation. Three frozen copies are the
+exceptions, each kept as the oracle for a later shortcut:
+unit_by_unit_solutions, the two-pair search without its symmetry
+reduction; reference_verify_certificate, the clause-by-clause
+verification without the lattice accept path; and dedupe_canonical, the
+canonical dedup with one key per report instead of one per group.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from unionclosed import Family, elements_of
+from unionclosed import (
+    Certificate,
+    CertificateVerdict,
+    Family,
+    elements_of,
+    format_set,
+    is_filter,
+)
+from unionclosed.search import _canonical_key
 
 
 def as_sets(fam: Family) -> list[frozenset[int]]:
@@ -262,3 +273,82 @@ def unit_by_unit_solutions(
         checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
         orient(0, spare)
     return sink
+
+
+def reference_verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
+    """verify_certificate as it stood before its lattice accept path:
+    every clause in order, the images built as a Family, and every pair
+    of intervals tested."""
+    if fam.ground_size != cert.ground_size:
+        raise ValueError(
+            f"ground size mismatch: family {fam.ground_size}, certificate {cert.ground_size}"
+        )
+    if tuple(a for a, _ in cert.pairs) != fam.members:
+        return CertificateVerdict(
+            False, "coverage", "pair members do not match the family exactly"
+        )
+    seen: set[int] = set()
+    for _, f in cert.pairs:
+        if f in seen:
+            return CertificateVerdict(
+                False, "bijectivity", f"image {format_set(f)} repeated"
+            )
+        seen.add(f)
+    for a, f in cert.pairs:
+        if a & ~f:
+            return CertificateVerdict(
+                False, "containment", f"{format_set(a)} not inside {format_set(f)}"
+            )
+    images = Family(cert.ground_size, tuple(f for _, f in cert.pairs))
+    filt = is_filter(images)
+    if not filt:
+        member, missing = filt.witness
+        return CertificateVerdict(
+            False, "filter", f"images lack {format_set(missing)} above {format_set(member)}"
+        )
+    ps = cert.pairs
+    for i in range(len(ps)):
+        a, fa = ps[i]
+        for j in range(i + 1, len(ps)):
+            b, fb = ps[j]
+            if (a & ~fb) == 0 and (b & ~fa) == 0:
+                return CertificateVerdict(
+                    False,
+                    "disjointness",
+                    f"intervals of {format_set(a)} and {format_set(b)} meet",
+                )
+    assert sum(1 << (f.bit_count() - a.bit_count()) for a, f in ps) <= 1 << cert.ground_size
+    return CertificateVerdict(True, None, None)
+
+
+def naive_verdict(members, pairs, n: int) -> tuple[bool, str | None]:
+    """(valid, clause) of a certificate given as (member, image) frozenset
+    pairs for a family given as frozensets: the clauses in the package's
+    order, the filter by naive_filter and disjointness on materialized
+    intervals."""
+    if sorted(sorted(a) for a, _ in pairs) != sorted(sorted(m) for m in members):
+        return False, "coverage"
+    images = [f for _, f in pairs]
+    if len(set(images)) != len(images):
+        return False, "bijectivity"
+    if not all(a <= f for a, f in pairs):
+        return False, "containment"
+    if not naive_filter(images, n):
+        return False, "filter"
+    cubes = [interval(a, f) for a, f in pairs]
+    if any(x & y for x, y in itertools.combinations(cubes, 2)):
+        return False, "disjointness"
+    return True, None
+
+
+def dedupe_canonical(reports):
+    """Keep the first report of each relabeling class, in list order,
+    computing the canonical key of every report."""
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for r in reports:
+        key = _canonical_key(r.family.members, r.family.ground_size)
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out

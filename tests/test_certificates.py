@@ -8,6 +8,7 @@ force over [2] and on random families over [4], and against Reimer's
 theorems on seeded families over [8]..[10].
 """
 
+import itertools
 import random
 
 import pytest
@@ -27,8 +28,16 @@ from unionclosed import (
     reimer_bound_holds,
     verify_certificate,
 )
+from unionclosed import certificates
 from unionclosed.certificates import _cubes
-from helpers import as_sets, brute_certificate_exists, interval, relabel
+from helpers import (
+    as_sets,
+    brute_certificate_exists,
+    interval,
+    naive_verdict,
+    reference_verify_certificate,
+    relabel,
+)
 
 
 def submasks(mask):
@@ -113,6 +122,20 @@ def test_certificate_rejects_out_of_range_masks():
             Certificate(3, pairs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Family(3, (1, None)),
+        lambda: Family(3, ("x", 2, 1)),
+        lambda: Certificate(3, ((1, 3), ("x", 3))),
+        lambda: Certificate(3, ((2, None), (1, 3))),
+    ],
+)
+def test_records_name_a_non_integer_mixed_with_integers(build):
+    with pytest.raises(FamilyFormatError, match="integer"):
+        build()
+
+
 def test_certificate_dict_round_trip():
     cert = minimal_counterexample().certificate
     assert Certificate.from_dict(cert.to_dict()) == cert
@@ -186,6 +209,110 @@ def test_verify_clause_disjointness():
 def test_verify_rejects_ground_mismatch():
     with pytest.raises(ValueError):
         verify_certificate(Family(2, (0,)), Certificate(3, ((0, 0),)))
+
+
+def assert_verdict_matches_the_oracles(fam, cert, naive=True):
+    got = verify_certificate(fam, cert)
+    assert got == reference_verify_certificate(fam, cert)
+    if naive:
+        n = cert.ground_size
+        pairs = [(frozenset(elements_of(a)), frozenset(elements_of(f))) for a, f in cert.pairs]
+        assert (got.valid, got.clause) == naive_verdict(as_sets(fam), pairs, n)
+
+
+def test_verify_matches_the_oracles_on_every_assignment_up_to_2():
+    # Every member set over [0], [1] and [2], each member sent to every
+    # subset: 2 + 9 + 625 certificates, through the lattice path.
+    count = 0
+    for n in range(3):
+        space = range(1 << n)
+        for code in range(1 << (1 << n)):
+            members = tuple(m for m in space if code >> m & 1)
+            for images in itertools.product(space, repeat=len(members)):
+                cert = Certificate(n, tuple(zip(members, images)))
+                assert_verdict_matches_the_oracles(Family(n, members), cert)
+                count += 1
+    assert count == 636
+
+
+@st.composite
+def certificate_cases(draw):
+    """A family over [3]..[5] and a certificate for it: a found one, random
+    supersets or random images, sometimes with one image changed, one
+    member shrunk in both, or one member changed in the certificate only."""
+    n = draw(st.integers(3, 5))
+    masks = st.integers(0, (1 << n) - 1)
+    members = sorted(draw(st.sets(masks, min_size=1, max_size=8)))
+    fam = Family(n, tuple(members))
+    kind = draw(st.sampled_from(["found", "supersets", "random"]))
+    found = find_certificate(fam) if kind == "found" else None
+    if found is not None:
+        pairs = list(found.pairs)
+    else:
+        lift = kind != "random"
+        pairs = [(a, draw(masks) | (a if lift else 0)) for a in members]
+    k = draw(st.integers(0, len(pairs) - 1))
+    a, f = pairs[k]
+    change = draw(st.sampled_from(["none", "image", "shrink", "member"]))
+    if change == "image":
+        pairs[k] = (a, draw(masks))
+    elif change == "shrink":
+        pairs[k] = (a & draw(masks), f)
+        shrunk = {b for b, _ in pairs}
+        if len(shrunk) == len(pairs):
+            fam = Family(n, tuple(shrunk))
+    elif change == "member":
+        pairs[k] = (draw(masks), f)
+    return fam, Certificate(n, tuple(pairs))
+
+
+@settings(deadline=None, max_examples=300)
+@given(certificate_cases())
+def test_verify_matches_the_oracles_over_3_to_5(case):
+    fam, cert = case
+    assert_verdict_matches_the_oracles(fam, cert)
+
+
+def lifted(cert, n):
+    """The certificate over [n] with the elements past its ground added to
+    every image: a filter stays a filter, intervals meet as before."""
+    extra = full_mask(n) ^ full_mask(cert.ground_size)
+    return Certificate(n, tuple((a, f | extra) for a, f in cert.pairs))
+
+
+def test_verify_matches_the_oracles_over_13(monkeypatch):
+    # Above DECISION_CAP there are no lattice tables: the clause-by-clause
+    # path decides alone.
+    n = 13
+    base = lifted(minimal_counterexample().certificate, n)
+    monkeypatch.setattr(certificates, "_cubes", None)
+    pairs = list(base.pairs)
+    cases = [base]
+    cases.append(Certificate(n, tuple(pairs[:-1] + [(pairs[-1][0], pairs[0][1])])))
+    cases.append(Certificate(n, tuple(pairs[:-1] + [(pairs[-1][0], full_mask(n) ^ 1 << 12)])))
+    cases.append(Certificate(n, tuple(pairs[:-1] + [(pairs[-1][0], pairs[-1][0])])))
+    swapped = [(a, pairs[1][1] if k == 0 else pairs[0][1] if k == 1 else f)
+               for k, (a, f) in enumerate(pairs)]
+    cases.append(Certificate(n, tuple(swapped)))
+    cases.append(lifted(Certificate(2, ((0, 0b11), (0b01, 0b01))), n))
+    rng = random.Random(13)
+    for _ in range(20):
+        members = sorted(rng.sample(range(1 << n), rng.randint(1, 6)))
+        cases.append(Certificate(n, tuple((a, a | rng.getrandbits(n)) for a in members)))
+    clauses = set()
+    for cert in cases:
+        fam = Family(n, tuple(a for a, _ in cert.pairs))
+        assert_verdict_matches_the_oracles(fam, cert)
+        clauses.add(verify_certificate(fam, cert).clause)
+    assert clauses >= {None, "bijectivity", "containment", "filter", "disjointness"}
+
+
+def test_verify_accepts_without_building_the_images(monkeypatch):
+    built = []
+    monkeypatch.setattr(certificates, "Family", lambda *args: built.append(args))
+    report = minimal_counterexample()
+    assert verify_certificate(report.family, report.certificate)
+    assert built == []
 
 
 # ------------------------------------------------------------------ find

@@ -49,6 +49,7 @@ from helpers import (
     brute_certified_families,
     brute_filters,
     canonical_form,
+    dedupe_canonical,
     interval,
     relabel,
     unit_by_unit_solutions,
@@ -326,8 +327,68 @@ def test_orbit_search_matches_the_unit_by_unit_oracle(n, pairs):
     pairs = SearchShape(n, pairs).missing_pairs
     expected = sorted(unit_by_unit_solutions(n, pairs))
     for parts in (1, 2, 3):
-        got = [s for part in range(parts) for s in _search_solutions((n, pairs, part, parts))]
+        got = [
+            s
+            for part in range(parts)
+            for group in _search_solutions((n, pairs, part, parts))
+            for s in group
+        ]
         assert sorted(got) == expected
+
+
+GROUPED_SHAPES = [
+    (8, ((1, 2), (3, 4))),
+    (8, ((1, 3), (4, 6))),
+    (8, ((1, 2), (2, 3))),  # no solutions
+    (7, ((1, 2), (3, 4), (5, 6))),
+    (7, ((1, 2), (3, 4), (4, 5))),
+    (7, ((1, 2), (2, 3), (3, 4))),
+]
+
+
+@pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
+def test_solution_groups_share_one_canonical_key(n, pairs):
+    shape = SearchShape(n, pairs)
+    groups = _search_solutions((n, shape.missing_pairs, 0, 1))
+    for group in groups:
+        keys = {
+            _canonical_key(unionclosed.search._solution_report(shape, sol).family.members, n)
+            for sol in group
+        }
+        assert len(keys) == 1
+    if shape == TWO_PAIRS:
+        # one group per solution at the representative of the 16-unit
+        # orbit; the 4-unit orbit has none
+        assert [len(group) for group in groups] == [16] * 84
+
+
+@pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
+def test_canonical_search_matches_per_report_dedup(n, pairs, monkeypatch):
+    shape = SearchShape(n, pairs)
+    expected = dedupe_canonical(search_counterexamples(shape))
+    # Let every part count get its own worker, even on fewer cores.
+    monkeypatch.setattr(unionclosed.search.os, "cpu_count", lambda: 3)
+    for parts in (1, 2, 3):
+        assert search_counterexamples(shape, workers=parts, canonical=True) == expected
+
+
+def test_canonical_search_keys_each_group_once(monkeypatch):
+    keyed, verified = [], []
+
+    def key_spy(members, n):
+        keyed.append(members)
+        return _canonical_key(members, n)
+
+    def verify_spy(fam, cert):
+        verified.append(fam)
+        return verify_certificate(fam, cert)
+
+    monkeypatch.setattr(unionclosed.search, "_canonical_key", key_spy)
+    monkeypatch.setattr(unionclosed.search, "verify_certificate", verify_spy)
+    assert len(search_counterexamples(TWO_PAIRS, canonical=True)) == 7
+    assert len(keyed) == 84
+    # every report is still built and verified
+    assert len(verified) == 1344
 
 
 def _group_order(gens, n):
