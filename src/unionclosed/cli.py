@@ -17,8 +17,9 @@ JSON document on stdout; timing notes go to stderr so identical inputs
 give identical stdout bytes. `search` output is written report by report
 from per-mask text and never held whole; with --json its bytes equal
 json.dumps(..., sort_keys=True) of the reports' to_dict. The search
-module is imported only by the commands that use it (search, demo,
-enumerate).
+runs in one process; `search --workers N` is accepted and checked
+(N >= 1) but changes nothing. The search module is imported only by the
+commands that use it (search, demo, enumerate).
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             payload["certificate"] = {"status": "found", "certificate": cert.to_dict()}
             lines.append("interval certificate: found")
-            lines.extend(_certificate_lines(cert))
+            if not args.json:
+                lines.extend(_certificate_lines(cert))
     else:
         payload["certificate"] = {"status": "skipped"}
         lines.append(
@@ -202,11 +204,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             ["no certificate exists (exhaustive decision)"],
         )
         return 1
-    _emit(
-        args,
-        {"status": "found", "certificate": cert.to_dict()},
-        ["certificate: found"] + _certificate_lines(cert),
-    )
+    lines = ["certificate: found"]
+    if not args.json:
+        lines += _certificate_lines(cert)
+    _emit(args, {"status": "found", "certificate": cert.to_dict()}, lines)
     return 0
 
 
@@ -282,11 +283,11 @@ def _search_lines(
 def _cmd_search(args: argparse.Namespace) -> int:
     from .search import SearchShape, search_counterexamples
 
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
-    found = search_counterexamples(
-        shape, workers=args.workers, canonical=args.canonical
-    )
+    found = search_counterexamples(shape, canonical=args.canonical)
     elapsed = time.perf_counter() - started
     print(
         f"search finished in {elapsed:.1f}s with {len(found)} result(s)",
@@ -419,7 +420,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="emit at most this many reports, or 'all' (the default)",
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (at least 1); the search runs in one process",
+    )
     p.add_argument(
         "--canonical",
         action="store_true",

@@ -5,10 +5,9 @@ ground-size lower bound and the exhaustive small-ground sweeps.
 The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images. The backtrack over it lives in
 skeleton.py; here each of its solutions becomes a CounterexampleReport,
-which re-runs the full verification, and the reports are sorted, so
-search results are identical for any worker count. The backtrack returns
-its solutions in groups of relabelings of one another, so canonical
-dedup computes one key per group.
+which re-runs the full verification, and the reports are sorted. The
+backtrack returns its solutions in groups of relabelings of one another,
+so canonical dedup computes one key per group.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
@@ -25,7 +24,6 @@ violations become Family objects.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, compress, permutations, product
 from typing import NamedTuple
 
@@ -246,20 +244,17 @@ def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 def search_counterexamples(
-    shape: SearchShape,
-    workers: int = 1,
-    canonical: bool = False,
+    shape: SearchShape, *, canonical: bool = False
 ) -> list[CounterexampleReport]:
     """Exhaustively enumerate counterexample families of the given shape.
 
     Every returned report passed the full certificate verification and
     has every element in fewer than half the members. The list is sorted
-    by member masks (then images), so any worker count yields the same
-    list; the enumeration always completes and an empty result is a
-    proof that the shape admits nothing. canonical keeps one
-    representative per relabeling orbit, the first in that order, and
-    computes one canonical key per group of solutions the backtrack
-    returns, since a group holds relabelings of one family.
+    by member masks (then images); the enumeration always completes and
+    an empty result is a proof that the shape admits nothing. canonical
+    keeps one representative per relabeling orbit, the first in that
+    order, and computes one canonical key per group of solutions the
+    backtrack returns, since a group holds relabelings of one family.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -270,22 +265,7 @@ def search_counterexamples(
         raise ResourceLimitError(
             f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    # One job per worker, clamped to the CPU count; a single job runs in
-    # this process.
-    w = min(workers, os.cpu_count() or 1)
-    jobs = [(n, shape.missing_pairs, k, w) for k in range(w)]
-    if w == 1:
-        parts = [_search_solutions(jobs[0])]
-    else:
-        # Imported here: the pool machinery costs every single-job command
-        # tens of milliseconds of startup otherwise.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            parts = list(pool.map(_search_solutions, jobs))
-    groups = [group for part in parts for group in part]
+    groups = _search_solutions(n, shape.missing_pairs)
 
     def order(r: CounterexampleReport) -> tuple:
         return r.family.members, r.certificate.pairs

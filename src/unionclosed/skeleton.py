@@ -22,8 +22,7 @@ of the pair set, so a relabeling that maps the missing pairs onto
 themselves maps a unit's solutions one to one onto those of its image:
 only one unit per orbit of such relabelings is oriented, and its
 solutions are relabeled onto the rest (20 units in 2 orbits for pairs
-{1,2} and {3,4} at n = 8). Workers are dealt orbit representatives,
-part mod parts.
+{1,2} and {3,4} at n = 8).
 
 Everything is enumerated in fixed orders. Solutions come in groups: one
 found at an orbit representative, then its relabelings onto the rest of
@@ -103,28 +102,24 @@ def _unit_orbits(
 
 
 def _search_solutions(
-    args: tuple[int, tuple[tuple[int, int], ...], int, int]
+    n: int, missing: tuple[tuple[int, int], ...]
 ) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Choose the pair members, then orient the co-atom digraph under them.
 
-    args is (n, missing, part, parts). Returns the solutions in groups,
-    each an orbit representative's solution followed by its relabelings
-    onto the rest of the orbit, so a group's families are relabelings of
-    one another. A solution is an (a_members, b_members) pair of mask
-    tuples; a_members[v] is A_{v+1}, b_members[k] belongs to the k-th
-    missing pair. Each complete choice of pair members is one unit of
-    work. A relabeling that maps the set of missing pairs onto itself
-    maps every constraint of a unit onto those of its image, and so the
-    unit's solutions one to one onto the image's. The units are grouped
-    into orbits under such relabelings (see _unit_orbits); only the first
-    unit of each orbit is oriented, and its solutions are relabeled onto
-    the rest of the orbit. Orbits are numbered in the order the walk
-    reaches their first units, and only those numbered part mod parts are
-    searched, which is how workers split the space; parts = 1 searches
-    everything. Within a unit each free pair takes one of three choices:
-    low beats high, high beats low, or both.
+    Returns the solutions in groups, each an orbit representative's
+    solution followed by its relabelings onto the rest of the orbit, so a
+    group's families are relabelings of one another. A solution is an
+    (a_members, b_members) pair of mask tuples; a_members[v] is A_{v+1},
+    b_members[k] belongs to the k-th missing pair. Each complete choice of
+    pair members is one unit of work. A relabeling that maps the set of
+    missing pairs onto itself maps every constraint of a unit onto those
+    of its image, and so the unit's solutions one to one onto the image's.
+    The units are grouped into orbits under such relabelings (see
+    _unit_orbits); only the first unit of each orbit is oriented, and its
+    solutions are relabeled onto the rest of the orbit. Orbits come in the
+    order the walk reaches their first units. Within a unit each free pair
+    takes one of three choices: low beats high, high beats low, or both.
     """
-    n, missing, part, parts = args
     sink: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     m = n + 1 + len(missing)
     # Frequency of every element must stay below m/2; the full-set member
@@ -210,7 +205,7 @@ def _search_solutions(
 
     choose((), slack, base_load)
     orbits = _unit_orbits([bs for bs, _, _ in units], n, _pair_symmetries(n, miss0))
-    for orbit in orbits[part::parts]:
+    for orbit in orbits:
         bs, load, spare = units[orbit[0][0]]
         checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
         found: list[tuple[int, ...]] = []

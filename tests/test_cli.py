@@ -4,8 +4,8 @@ Exit code contract: 0 for an affirmative outcome, 1 for a legitimate
 negative one, 2 for usage or data errors, 3 for refused resource
 guards, 4 for an internal error, 141 when the reader of stdout closes
 it. Everything runs in-process through main() except a run without
-numpy, checks of what start-up imports, and one smoke test of the
-installed entry points.
+numpy, checks of what start-up and a search import, and one smoke test
+of the installed entry points.
 """
 
 import json
@@ -161,6 +161,19 @@ def test_certify_decides_when_no_certificate_given(family_file, capsys):
     assert "no certificate exists" in capsys.readouterr().out
 
 
+def test_json_output_formats_no_certificate_lines(minimal_files, monkeypatch, capsys):
+    # the human lines of a found certificate are never built for --json
+    def refuse(cert):
+        raise AssertionError("certificate lines built for --json")
+
+    monkeypatch.setattr("unionclosed.cli._certificate_lines", refuse)
+    fam, _ = minimal_files
+    assert main(["certify", fam, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "found"
+    assert main(["check", fam, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["status"] == "found"
+
+
 def test_certify_ground_mismatch(family_file, capsys):
     fam = family_file("f.json", {"ground": 2, "sets": [[]]})
     cert = family_file("c.json", {"ground": 3, "pairs": [{"set": [], "image": [1, 2, 3]}]})
@@ -282,11 +295,15 @@ def test_startup_leaves_fractions_unimported():
 
 
 def test_startup_leaves_the_process_pool_unimported():
-    # the pool and multiprocessing load only when a search runs jobs in parallel
+    # no command starts a process pool, not even search with --workers 2
     program = (
-        "import sys, unionclosed.cli\n"
-        "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
-        "sys.exit(sorted(loaded) or None)"
+        "import contextlib, io, sys, unionclosed.cli\n"
+        "pool = {'concurrent.futures.process', 'multiprocessing'}\n"
+        "assert not pool & set(sys.modules), sorted(pool & set(sys.modules))\n"
+        "argv = ['search', '--n', '8', '--pairs', '1,2:3,4', '--workers', '2', '--json']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert unionclosed.cli.main(argv) == 0\n"
+        "sys.exit(sorted(pool & set(sys.modules)) or None)"
     )
     src = str(Path(unionclosed.__file__).resolve().parents[1])
     proc = subprocess.run(

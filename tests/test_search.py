@@ -325,15 +325,8 @@ def test_relabeled_shape_finds_the_relabeled_families(pairs, perm):
 )
 def test_orbit_search_matches_the_unit_by_unit_oracle(n, pairs):
     pairs = SearchShape(n, pairs).missing_pairs
-    expected = sorted(unit_by_unit_solutions(n, pairs))
-    for parts in (1, 2, 3):
-        got = [
-            s
-            for part in range(parts)
-            for group in _search_solutions((n, pairs, part, parts))
-            for s in group
-        ]
-        assert sorted(got) == expected
+    got = [s for group in _search_solutions(n, pairs) for s in group]
+    assert sorted(got) == sorted(unit_by_unit_solutions(n, pairs))
 
 
 GROUPED_SHAPES = [
@@ -349,7 +342,7 @@ GROUPED_SHAPES = [
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
 def test_solution_groups_share_one_canonical_key(n, pairs):
     shape = SearchShape(n, pairs)
-    groups = _search_solutions((n, shape.missing_pairs, 0, 1))
+    groups = _search_solutions(n, shape.missing_pairs)
     for group in groups:
         keys = {
             _canonical_key(unionclosed.search._solution_report(shape, sol).family.members, n)
@@ -363,13 +356,10 @@ def test_solution_groups_share_one_canonical_key(n, pairs):
 
 
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
-def test_canonical_search_matches_per_report_dedup(n, pairs, monkeypatch):
+def test_canonical_search_matches_per_report_dedup(n, pairs):
     shape = SearchShape(n, pairs)
     expected = dedupe_canonical(search_counterexamples(shape))
-    # Let every part count get its own worker, even on fewer cores.
-    monkeypatch.setattr(unionclosed.search.os, "cpu_count", lambda: 3)
-    for parts in (1, 2, 3):
-        assert search_counterexamples(shape, workers=parts, canonical=True) == expected
+    assert search_counterexamples(shape, canonical=True) == expected
 
 
 def test_canonical_search_keys_each_group_once(monkeypatch):
@@ -444,7 +434,7 @@ def test_two_pair_units_form_two_orbits(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(unionclosed.skeleton, "_unit_orbits", spy)
-    _search_solutions((8, TWO_PAIRS.missing_pairs, 0, 1))
+    _search_solutions(8, TWO_PAIRS.missing_pairs)
     (units, orbits), = seen
     assert len(units) == 20
     assert sorted(len(orbit) for orbit in orbits) == [4, 16]
@@ -510,45 +500,6 @@ def test_canonical_key_searches_a_single_cell():
     assert _canonical_key(two_squares, 8) != _canonical_key(cycle, 8)
 
 
-def test_search_worker_count_does_not_change_results():
-    assert search_counterexamples(TWO_PAIRS, workers=3) == search_counterexamples(
-        TWO_PAIRS
-    )
-
-
-@pytest.fixture()
-def serial_pool(monkeypatch):
-    """Replace the process pool by one that maps in this process and
-    records the max_workers it was asked for."""
-    sizes: list[int] = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, jobs):
-            return map(func, jobs)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    return sizes
-
-
-@pytest.mark.parametrize("cpus, pool_sizes", [(3, [3]), (None, [])])
-def test_worker_count_is_clamped_to_the_cpu_count(
-    serial_pool, monkeypatch, cpus, pool_sizes
-):
-    expected = search_counterexamples(TWO_PAIRS)
-    monkeypatch.setattr("unionclosed.search.os.cpu_count", lambda: cpus)
-    assert search_counterexamples(TWO_PAIRS, workers=10**6) == expected
-    assert serial_pool == pool_sizes
-
-
 def test_infeasible_shapes_come_back_empty():
     assert search_counterexamples(SearchShape(6, ((1, 2), (3, 4)))) == []
     assert search_counterexamples(SearchShape(8, ((1, 2),))) == []
@@ -559,8 +510,6 @@ def test_infeasible_shapes_come_back_empty():
 def test_search_guards():
     with pytest.raises(ResourceLimitError):
         search_counterexamples(SearchShape(SEARCH_CAP + 2, ((1, 2), (3, 4))))
-    with pytest.raises(ValueError):
-        search_counterexamples(TWO_PAIRS, workers=0)
     # refused before searching, even for a shape with no solutions
     with pytest.raises(ResourceLimitError):
         search_counterexamples(
