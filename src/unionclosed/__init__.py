@@ -38,26 +38,11 @@ from .family import (
 )
 
 # The search module loads on first use of one of its names (PEP 562), so
-# the commands that never search (check, certify) do not compile it.
-_SEARCH_NAMES = frozenset(
-    {
-        "CANONICAL_CAP",
-        "ENUMERATION_CAP",
-        "SEARCH_CAP",
-        "CounterexampleReport",
-        "SearchShape",
-        "SweepSummary",
-        "conjecture_sweep",
-        "degree_budget_feasible",
-        "min_even_ground_size",
-        "minimal_counterexample",
-        "search_counterexamples",
-    }
-)
-
-
+# the commands that never search (check, certify) do not compile it. The
+# names above are bound eagerly, so only the search names in __all__ get
+# here.
 def __getattr__(name: str) -> object:
-    if name in _SEARCH_NAMES:
+    if name in __all__:
         from . import search
 
         return getattr(search, name)

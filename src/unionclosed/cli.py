@@ -324,8 +324,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     re = reimer_bound_holds(fam)
     checks = len(cert) * (len(cert) - 1) // 2
     if fr.holds or not re.holds:
+        # An internal fault, not a negative answer: exit 4, never 1.
         print("demo family failed re-verification", file=sys.stderr)
-        return 1
+        return 4
     payload = {
         "report": report.to_dict(),
         "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},

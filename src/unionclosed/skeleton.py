@@ -24,11 +24,13 @@ only one unit per orbit of such relabelings is oriented, and its
 solutions are relabeled onto the rest (20 units in 2 orbits for pairs
 {1,2} and {3,4} at n = 8).
 
-Everything is enumerated in fixed orders. Solutions come in groups: one
-found at an orbit representative, then its relabelings onto the rest of
-the orbit. search.py turns every solution, oriented or relabeled, into a
-CounterexampleReport, which re-runs the full verification, and sorts the
-reports; canonical dedup computes one key per group.
+Everything is enumerated in fixed orders. The skeleton's images are
+stated once, in _skeleton_images, and every solution is the member tuple
+aligned with them. Solutions come in groups: one found at an orbit
+representative, then its relabelings onto the rest of the orbit.
+search.py pairs every solution, oriented or relabeled, with the images
+into a CounterexampleReport, which re-runs the full verification, and
+sorts the reports; canonical dedup computes one key per group.
 
 It is a module of its own because Python compiles each module's source
 as a whole, and the compile's peak memory grows with the module: two
@@ -101,16 +103,28 @@ def _unit_orbits(
     return orbits
 
 
+def _skeleton_images(n: int, missing: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The skeleton's images over {1..n} as masks: the full set, then the
+    co-atoms [n] - {v} for v = 1..n, then [n] - p for each missing pair p."""
+    full = (1 << n) - 1
+    return (
+        full,
+        *[full ^ (1 << v) for v in range(n)],
+        *[full ^ (1 << i - 1) ^ (1 << j - 1) for i, j in missing],
+    )
+
+
 def _search_solutions(
     n: int, missing: tuple[tuple[int, int], ...]
-) -> list[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+) -> list[list[tuple[int, ...]]]:
     """Choose the pair members, then orient the co-atom digraph under them.
 
     Returns the solutions in groups, each an orbit representative's
     solution followed by its relabelings onto the rest of the orbit, so a
-    group's families are relabelings of one another. A solution is an
-    (a_members, b_members) pair of mask tuples; a_members[v] is A_{v+1},
-    b_members[k] belongs to the k-th missing pair. Each complete choice of
+    group's families are relabelings of one another. A solution is the
+    member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
+    _skeleton_images(n, missing): B_k belongs to the k-th missing pair
+    and the full-set member is the full set itself. Each complete choice of
     pair members is one unit of work. A relabeling that maps the set of
     missing pairs onto itself maps every constraint of a unit onto those
     of its image, and so the unit's solutions one to one onto the image's.
@@ -120,7 +134,8 @@ def _search_solutions(
     order the walk reaches their first units. Within a unit each free pair
     takes one of three choices: low beats high, high beats low, or both.
     """
-    sink: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+    sink: list[list[tuple[int, ...]]] = []
+    full = (1 << n) - 1
     m = n + 1 + len(missing)
     # Frequency of every element must stay below m/2; the full-set member
     # contributes 1, so outdeg(v) + #B's containing v is capped here.
@@ -218,7 +233,7 @@ def _search_solutions(
                 table += [x | 1 << e for x in table]
             moves.append((table, sorted(range(n), key=sigma.__getitem__), units[u][0]))
         sink.extend(
-            [(tuple([table[a[v]] for v in inverse]), b) for table, inverse, b in moves]
+            [(full, *[table[a[v]] for v in inverse], *b) for table, inverse, b in moves]
             for a in found
         )
     return sink

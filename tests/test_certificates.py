@@ -151,6 +151,7 @@ def test_certificate_dict_round_trip():
         {"ground": 2, "pairs": [{"set": [1, 1], "image": [1]}]},
         {"ground": 2, "pairs": [{"set": [1], "image": 3}]},
         {"ground": True, "pairs": []},
+        {"ground": 2, "pairs": {"set": [1], "image": [1]}},
     ],
 )
 def test_certificate_from_dict_rejects_bad_payloads(data):

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from unionclosed import (
     Certificate,
     CounterexampleReport,
     Family,
+    ReimerVerdict,
     SearchShape,
     format_set,
     minimal_counterexample,
@@ -130,6 +132,21 @@ def test_check_wrong_schema(family_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_json_reports_no_certificate(family_file, capsys):
+    # below the average-size bound, and no certificate exists
+    fam = family_file("no.json", {"ground": 2, "sets": [[], [1], [2]]})
+    assert main(["check", fam, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["average_size_bound"]["holds"] is False
+    assert payload["certificate"] == {"status": "none"}
+
+
+def test_check_json_skips_the_decision_above_its_cap(family_file, capsys):
+    fam = family_file("f.json", {"ground": 13, "sets": [[], [1]]})
+    assert main(["check", fam, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"] == {"status": "skipped"}
+
+
 # --------------------------------------------------------------- certify
 
 
@@ -159,6 +176,27 @@ def test_certify_decides_when_no_certificate_given(family_file, capsys):
     assert payload["status"] == "found"
     assert main(["certify", no]) == 1
     assert "no certificate exists" in capsys.readouterr().out
+
+
+def test_certify_human_lists_the_found_pairs(family_file, capsys):
+    fam = family_file("yes.json", {"ground": 2, "sets": [[], [1], [2], [1, 2]]})
+    assert main(["certify", fam, "--json"]) == 0
+    cert = Certificate.from_dict(json.loads(capsys.readouterr().out)["certificate"])
+    assert main(["certify", fam]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "certificate: found"
+    assert lines[1:] == [f"  {format_set(a)} -> {format_set(f)}" for a, f in cert.pairs]
+
+
+def test_internal_fault_exits_four(minimal_files, monkeypatch, capsys):
+    # a fault is never a verdict: not 1 ("no certificate"), not a traceback
+    def broken(fam):
+        raise RuntimeError("broken decision")
+
+    monkeypatch.setattr("unionclosed.cli.find_certificate", broken)
+    fam, _ = minimal_files
+    assert main(["certify", fam]) == 4
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 def test_json_output_formats_no_certificate_lines(minimal_files, monkeypatch, capsys):
@@ -208,6 +246,13 @@ def test_search_empty_shape_exits_one(capsys):
     payload = json.loads(captured.out)
     assert payload["count"] == 0 and payload["reports"] == []
     assert "search finished" in captured.err
+
+
+def test_search_without_pairs_exits_one(capsys):
+    assert main(["search", "--n", "6", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["shape"] == {"ground": 6, "pairs": []}
+    assert payload["count"] == 0 and payload["reports"] == []
 
 
 def test_search_with_limit_reports_verify(capsys):
@@ -376,6 +421,19 @@ def test_search_rejects_negative_limit(capsys):
     assert main(["search", "--n", "8", "--limit", "-1"]) == 2
 
 
+def test_search_limit_all_is_no_limit(capsys):
+    argv = ["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]
+    assert main(argv) == 0
+    unlimited = capsys.readouterr().out
+    assert main([*argv, "--limit", "all"]) == 0
+    assert capsys.readouterr().out == unlimited
+
+
+def test_search_rejects_a_non_integer_limit(capsys):
+    assert main(["search", "--n", "8", "--limit", "abc"]) == 2
+    assert "limit must be an integer or 'all'" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ demo
 
 
@@ -394,6 +452,16 @@ def test_demo_json_round_trips(capsys):
     report = rebuilt_report(payload["report"])
     assert report == minimal_counterexample()
     assert report.to_dict() == payload["report"]
+
+
+def test_demo_failed_recheck_exits_four(monkeypatch, capsys):
+    # the bundled family failing its re-check is a fault, not a negative
+    failing = ReimerVerdict(False, Fraction(0), 1.0)
+    monkeypatch.setattr("unionclosed.cli.reimer_bound_holds", lambda fam: failing)
+    assert main(["demo"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "demo family failed re-verification" in captured.err
 
 
 # ------------------------------------------------------------- enumerate

@@ -26,6 +26,7 @@ from unionclosed import (
     ENUMERATION_CAP,
     Family,
     FamilyFormatError,
+    MAX_GROUND,
     ResourceLimitError,
     SEARCH_CAP,
     SearchShape,
@@ -104,6 +105,12 @@ def test_shape_normalizes_pairs():
 def test_shape_rejects_bad_pairs(pairs):
     with pytest.raises(FamilyFormatError):
         SearchShape(8, pairs)
+
+
+@pytest.mark.parametrize("n", [0, MAX_GROUND + 1, True, "8"])
+def test_shape_rejects_bad_ground_sizes(n):
+    with pytest.raises(FamilyFormatError):
+        SearchShape(n)
 
 
 # ----------------------------------------------------------------- report
@@ -326,7 +333,9 @@ def test_relabeled_shape_finds_the_relabeled_families(pairs, perm):
 def test_orbit_search_matches_the_unit_by_unit_oracle(n, pairs):
     pairs = SearchShape(n, pairs).missing_pairs
     got = [s for group in _search_solutions(n, pairs) for s in group]
-    assert sorted(got) == sorted(unit_by_unit_solutions(n, pairs))
+    full = full_mask(n)
+    want = [(full, *a, *b) for a, b in unit_by_unit_solutions(n, pairs)]
+    assert sorted(got) == sorted(want)
 
 
 GROUPED_SHAPES = [
@@ -344,10 +353,7 @@ def test_solution_groups_share_one_canonical_key(n, pairs):
     shape = SearchShape(n, pairs)
     groups = _search_solutions(n, shape.missing_pairs)
     for group in groups:
-        keys = {
-            _canonical_key(unionclosed.search._solution_report(shape, sol).family.members, n)
-            for sol in group
-        }
+        keys = {_canonical_key(tuple(sorted(sol)), n) for sol in group}
         assert len(keys) == 1
     if shape == TWO_PAIRS:
         # one group per solution at the representative of the 16-unit
