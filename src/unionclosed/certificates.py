@@ -25,17 +25,18 @@ size. It is deterministic: same family in, same certificate out.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .family import (
-    MAX_GROUND,
     Family,
     FamilyFormatError,
     ResourceLimitError,
+    _check_ground,
+    _check_masks,
     _Record,
     elements_of,
     format_set,
-    full_mask,
     is_filter,
     iter_supersets,
     mask_from_elements,
@@ -65,27 +66,18 @@ class Certificate(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.ground_size
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_GROUND:
-            raise FamilyFormatError(
-                f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}"
-            )
-        limit = full_mask(n)
-        pairs = tuple(self.pairs)
-        try:
-            pairs = tuple(sorted((a, f) for a, f in pairs))
-        except TypeError:  # a non-integer mask, named by the loop below
-            pass
-        for a, f in pairs:
-            if isinstance(a, bool) or isinstance(f, bool) or not (
-                isinstance(a, int) and isinstance(f, int)
-            ):
-                raise FamilyFormatError(f"pair ({a!r}, {f!r}) must hold integer masks")
-            if a < 0 or a & ~limit or f < 0 or f & ~limit:
+        n = _check_ground(self.ground_size)
+        pairs = []
+        for pair in self.pairs:
+            try:
+                a, f = pair
+            except (TypeError, ValueError):
                 raise FamilyFormatError(
-                    f"pair ({a:#x}, {f:#x}) does not fit ground size {n}"
-                )
-        object.__setattr__(self, "pairs", pairs)
+                    f"pair {pair!r} is not a (member, image) mask pair"
+                ) from None
+            pairs.append((a, f))
+        _check_masks(chain.from_iterable(pairs), n, "pair entry")
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
     @classmethod
     def from_dict(cls, data: object) -> "Certificate":
@@ -94,10 +86,8 @@ class Certificate(_Record):
             raise FamilyFormatError(
                 'certificate data must have exactly the keys "ground" and "pairs"'
             )
-        ground = data["ground"]
+        ground = _check_ground(data["ground"])
         raw = data["pairs"]
-        if isinstance(ground, bool) or not isinstance(ground, int):
-            raise FamilyFormatError('"ground" must be an integer')
         if not isinstance(raw, list):
             raise FamilyFormatError('"pairs" must be a list')
         pairs = []
@@ -209,7 +199,7 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
         a, fa = ps[i]
         for j in range(i + 1, len(ps)):
             b, fb = ps[j]
-            if (a & ~fb) == 0 and (b & ~fa) == 0:
+            if not intervals_disjoint(a, fa, b, fb):
                 return CertificateVerdict(
                     False,
                     "disjointness",

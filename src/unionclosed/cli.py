@@ -48,6 +48,7 @@ from .family import (
     frankl_check,
     is_filter,
     is_union_closed,
+    mask_from_elements,
     reimer_bound_holds,
 )
 
@@ -266,7 +267,7 @@ def _search_lines(
     """The human search listing; each distinct mask is spelled once."""
     texts = {m: format_set(m) for m in {m for r in reports for m in r.family}}
     pairs = " ".join(
-        format_set((1 << (i - 1)) | (1 << (j - 1))) for i, j in shape.missing_pairs
+        format_set(mask_from_elements(p, shape.ground_size)) for p in shape.missing_pairs
     )
     lines = [
         f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}",
@@ -323,8 +324,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     fr = frankl_check(fam)
     re = reimer_bound_holds(fam)
     checks = len(cert) * (len(cert) - 1) // 2
-    if fr.holds or not re.holds:
-        # An internal fault, not a negative answer: exit 4, never 1.
+    # The report's constructor has already refused an element in half the
+    # members. A failed re-check is an internal fault: exit 4, never 1.
+    if not re.holds:
         print("demo family failed re-verification", file=sys.stderr)
         return 4
     payload = {

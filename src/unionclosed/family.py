@@ -30,12 +30,35 @@ def full_mask(ground_size: int) -> int:
     return (1 << ground_size) - 1
 
 
+def _check_ground(n: object, low: int = 0) -> int:
+    """n itself, once it is known to be an int (not a bool) in low..MAX_GROUND."""
+    if isinstance(n, bool) or not isinstance(n, int) or not low <= n <= MAX_GROUND:
+        raise FamilyFormatError(
+            f"ground size must be an integer in {low}..{MAX_GROUND}, got {n!r}"
+        )
+    return n
+
+
+def _check_masks(masks: Iterable[object], n: int, what: str) -> list[int]:
+    """The masks as a list, once each is known to be an int (not a bool)
+    naming a subset of {1..n}; what names a mask in the error."""
+    masks = list(masks)
+    for m in masks:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0 or m >> n:
+            raise FamilyFormatError(
+                f"{what} {m!r} is not an integer mask within ground size {n}"
+            )
+    return masks
+
+
 def mask_from_elements(elements: Iterable[int], ground_size: int) -> int:
     """Pack 1-based elements into a mask.
 
-    Out-of-range and repeated elements are rejected: this is the parse
-    path for external data, so it must not silently normalize.
+    A bad ground size, out-of-range and repeated elements are rejected:
+    this is the parse path for external data, so it must not silently
+    normalize.
     """
+    _check_ground(ground_size)
     mask = 0
     for e in elements:
         if isinstance(e, bool) or not isinstance(e, int) or not 1 <= e <= ground_size:
@@ -133,29 +156,12 @@ class Family(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.ground_size
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= MAX_GROUND:
-            raise FamilyFormatError(
-                f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}"
-            )
-        members = tuple(self.members)
-        try:
-            members = tuple(sorted(members))
-        except TypeError:  # a non-integer member, named by the loop below
-            pass
-        limit = full_mask(n)
-        prev = -1
-        for m in members:
-            if isinstance(m, bool) or not isinstance(m, int):
-                raise FamilyFormatError(f"member {m!r} is not an integer mask")
-            if m == prev:
-                raise FamilyFormatError(f"duplicate member {format_set(m)}")
-            if m < 0 or m & ~limit:
-                raise FamilyFormatError(
-                    f"member mask {m:#x} does not fit ground size {n}"
-                )
-            prev = m
-        object.__setattr__(self, "members", members)
+        n = _check_ground(self.ground_size)
+        members = sorted(_check_masks(self.members, n, "member"))
+        for a, b in zip(members, members[1:]):
+            if a == b:
+                raise FamilyFormatError(f"duplicate member {format_set(a)}")
+        object.__setattr__(self, "members", tuple(members))
 
     @classmethod
     def from_sets(cls, ground_size: int, sets: Iterable[Iterable[int]]) -> "Family":
@@ -166,16 +172,15 @@ class Family(_Record):
         """Parse the {"ground": n, "sets": [[1, 4, 7], ...]} form.
 
         Duplicate sets, duplicate elements within a set, stray keys, and
-        out-of-range values all raise FamilyFormatError.
+        out-of-range values all raise FamilyFormatError; a bad "ground"
+        does so before any set is read.
         """
         if not isinstance(data, dict) or set(data) != {"ground", "sets"}:
             raise FamilyFormatError(
                 'family data must be an object with exactly the keys "ground" and "sets"'
             )
-        ground = data["ground"]
+        ground = _check_ground(data["ground"])
         sets = data["sets"]
-        if isinstance(ground, bool) or not isinstance(ground, int):
-            raise FamilyFormatError('"ground" must be an integer')
         if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
             raise FamilyFormatError('"sets" must be a list of lists')
         return cls.from_sets(ground, sets)

@@ -31,10 +31,10 @@ from typing import NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
 from .family import (
-    MAX_GROUND,
     Family,
     FamilyFormatError,
     ResourceLimitError,
+    _check_ground,
     _Record,
     frequency_vector,
     full_mask,
@@ -90,19 +90,16 @@ class SearchShape(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.ground_size
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_GROUND:
-            raise FamilyFormatError(f"ground size must be an integer in 1..{MAX_GROUND}")
+        n = _check_ground(self.ground_size, 1)
         norm = []
         for pair in self.missing_pairs:
             try:
                 i, j = pair
+                mask_from_elements((i, j), n)
             except (TypeError, ValueError):
-                raise FamilyFormatError(f"pair {pair!r} must have exactly two elements")
-            if not all(isinstance(e, int) and not isinstance(e, bool) for e in (i, j)):
-                raise FamilyFormatError(f"pair {pair!r} must contain integers")
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise FamilyFormatError(f"pair {pair!r} is not two distinct elements of 1..{n}")
+                raise FamilyFormatError(
+                    f"pair {pair!r} is not two distinct elements of 1..{n}"
+                ) from None
             norm.append((min(i, j), max(i, j)))
         pairs = tuple(sorted(norm))
         for a, b in zip(pairs, pairs[1:]):

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .family import mask_from_elements
+
 
 def _pair_symmetries(
     n: int, pairs: list[tuple[int, int]]
@@ -110,7 +112,7 @@ def _skeleton_images(n: int, missing: tuple[tuple[int, int], ...]) -> tuple[int,
     return (
         full,
         *[full ^ (1 << v) for v in range(n)],
-        *[full ^ (1 << i - 1) ^ (1 << j - 1) for i, j in missing],
+        *[full ^ mask_from_elements(p, n) for p in missing],
     )
 
 
@@ -141,7 +143,7 @@ def _search_solutions(
     # contributes 1, so outdeg(v) + #B's containing v is capped here.
     cap = (m + 1) // 2 - 2
     miss0 = [(i - 1, j - 1) for i, j in missing]
-    pmasks = [(1 << i) | (1 << j) for i, j in miss0]
+    pmasks = [mask_from_elements(p, n) for p in missing]
 
     # Both directions are forced inside each missing pair: the interval
     # checks between A_i, A_j and B_p demand i in A_j and j in A_i.

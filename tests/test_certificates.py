@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unionclosed import (
+    MAX_GROUND,
     Certificate,
     Family,
     FamilyFormatError,
     ResourceLimitError,
+    SearchShape,
     elements_of,
     find_certificate,
     full_mask,
@@ -134,6 +136,64 @@ def test_certificate_rejects_out_of_range_masks():
 def test_records_name_a_non_integer_mixed_with_integers(build):
     with pytest.raises(FamilyFormatError, match="integer"):
         build()
+
+
+@pytest.mark.parametrize("pairs", [((1, 3, 7),), ((1,),), (5,)])
+def test_certificate_names_a_malformed_pair(pairs):
+    with pytest.raises(FamilyFormatError, match=r"pair .* is not a \(member, image\)"):
+        Certificate(3, pairs)
+
+
+# JSON-shaped junk: ints small enough that no check can build a huge mask.
+JUNK = st.recursive(
+    st.integers(-(2**20), 2**20) | st.booleans() | st.text(max_size=3) | st.none(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["ground", "sets", "pairs", "set", "image"]), inner),
+    max_leaves=12,
+)
+JUNK_TUPLES = st.lists(JUNK, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    junk=JUNK,
+    ground=st.integers(-1, MAX_GROUND + 1) | JUNK,
+    entries=JUNK_TUPLES,
+    build=st.sampled_from(
+        [
+            lambda junk, ground, entries: Family.from_dict(junk),
+            lambda junk, ground, entries: Certificate.from_dict(junk),
+            lambda junk, ground, entries: Family.from_dict({"ground": ground, "sets": junk}),
+            lambda junk, ground, entries: Certificate.from_dict({"ground": ground, "pairs": junk}),
+            lambda junk, ground, entries: Family(ground, entries),
+            lambda junk, ground, entries: Certificate(ground, entries),
+            lambda junk, ground, entries: SearchShape(ground, entries),
+        ]
+    ),
+)
+def test_records_and_parsers_refuse_junk_only_as_format_errors(junk, ground, entries, build):
+    try:
+        record = build(junk, ground, entries)
+    except FamilyFormatError:
+        return
+    assert isinstance(record, (Family, Certificate, SearchShape))
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (Family.from_dict, {"ground": 31, "sets": [[1]]}),
+        (Certificate.from_dict, {"ground": 31, "pairs": [{"set": [1], "image": [1]}]}),
+    ],
+)
+def test_parsers_refuse_the_ground_before_building_a_mask(parse, data, monkeypatch):
+    def no_masks(elements, ground_size):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr("unionclosed.family.mask_from_elements", no_masks)
+    monkeypatch.setattr("unionclosed.certificates.mask_from_elements", no_masks)
+    with pytest.raises(FamilyFormatError, match="ground size"):
+        parse(data)
 
 
 def test_certificate_dict_round_trip():

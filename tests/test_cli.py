@@ -219,6 +219,24 @@ def test_certify_ground_mismatch(family_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+HUGE = 1_000_000_000_000
+
+
+def test_check_refuses_a_huge_ground_as_a_data_error(family_file, capsys):
+    fam = family_file("f.json", {"ground": HUGE, "sets": [[HUGE]]})
+    assert main(["check", fam]) == 2
+    assert "error: ground size" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_huge_certificate_ground_as_a_data_error(
+    minimal_files, family_file, capsys
+):
+    fam, _ = minimal_files
+    cert = family_file("c.json", {"ground": HUGE, "pairs": [{"set": [HUGE], "image": [HUGE]}]})
+    assert main(["certify", fam, cert]) == 2
+    assert "error: ground size" in capsys.readouterr().err
+
+
 def test_certify_refuses_oversized_decision(family_file, capsys):
     fam = family_file("f.json", {"ground": 13, "sets": [[]]})
     assert main(["certify", fam]) == 3
