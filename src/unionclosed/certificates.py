@@ -157,7 +157,7 @@ def verify_certificate(fam: Family, cert: Certificate) -> CertificateVerdict:
         raise ValueError(
             f"ground size mismatch: family {fam.ground_size}, certificate {cert.ground_size}"
         )
-    if tuple(a for a, _ in cert.pairs) != fam.members:
+    if tuple([a for a, _ in cert.pairs]) != fam.members:
         return CertificateVerdict(
             False, "coverage", "pair members do not match the family exactly"
         )

@@ -14,12 +14,14 @@ guards, 4 for an internal error (a fault of this program, never a
 verdict), 141 (128 + SIGPIPE) when the reader of stdout closes it before
 the output is written. In --json mode each command prints exactly one
 JSON document on stdout; timing notes go to stderr so identical inputs
-give identical stdout bytes. `search` output is written report by report
-from per-mask text and never held whole; with --json its bytes equal
-json.dumps(..., sort_keys=True) of the reports' to_dict. The search
-runs in one process; `search --workers N` is accepted and checked
-(N >= 1) but changes nothing. The search module is imported only by the
-commands that use it (search, demo, enumerate).
+give identical stdout bytes. `search` builds, verifies and writes its
+reports one at a time, from per-mask text; with --json its bytes equal
+json.dumps(..., sort_keys=True) of the reports' to_dict. Its stdout is
+cut short only with exit 141 or with exit 4, when a report of the
+program's own fails re-verification. The search runs in one process;
+`search --workers N` is accepted and checked (N >= 1) but changes
+nothing. The search module is imported only by the commands that use it
+(search, demo, enumerate).
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from functools import cache
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,6 +74,8 @@ def _load_data(path: str) -> object:
         ) from exc
     except RecursionError as exc:
         raise FamilyFormatError(f"{path} nests too deeply to parse") from exc
+    except ValueError as exc:  # an integer past Python's int-to-string limit
+        raise FamilyFormatError(f"{path} cannot be parsed: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -230,27 +235,23 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _search_json(
-    shape: SearchShape, reports: list[CounterexampleReport]
+    shape: SearchShape, count: int, reports: Iterator[CounterexampleReport]
 ) -> Iterator[str]:
     """The search document in pieces whose concatenation is
-    json.dumps(payload, sort_keys=True).
-
-    The payload is {"shape", "count", "reports": [r.to_dict() ...]} over
-    the CounterexampleReport list. Each distinct mask is encoded once and
-    every report is joined from those texts, so no dict tree is built,
-    and each report is one piece, so the document is never held whole.
+    json.dumps(payload, sort_keys=True) of {"shape", "count", "reports":
+    [r.to_dict() ...]} over the count reports. Each mask and each (member,
+    image) pair is encoded the first time it is met and each report is
+    joined from those texts into one piece, taken from the iterator once
+    the piece before it is out.
     """
-    # A verified certificate pairs every member, so its pairs hold every mask.
-    masks = {m for r in reports for pair in r.certificate.pairs for m in pair}
-    texts = {m: json.dumps(list(elements_of(m))) for m in masks}
-    yield f'{{"count": {len(reports)}, "reports": ['
+    text = cache(lambda m: json.dumps(list(elements_of(m))))
+    pair = cache(lambda a, f: f'{{"image": {text(f)}, "set": {text(a)}}}')
+    yield f'{{"count": {count}, "reports": ['
     sep = ""
     for r in reports:
         cert = r.certificate
-        pairs = ", ".join(
-            [f'{{"image": {texts[f]}, "set": {texts[a]}}}' for a, f in cert.pairs]
-        )
-        sets = ", ".join([texts[m] for m in r.family])
+        pairs = ", ".join(starmap(pair, cert.pairs))
+        sets = ", ".join(map(text, r.family))
         yield (
             f'{sep}{{"certificate": {{"ground": {cert.ground_size}, "pairs": [{pairs}]}},'
             f' "family": {{"ground": {r.family.ground_size}, "sets": [{sets}]}},'
@@ -262,56 +263,49 @@ def _search_json(
 
 
 def _search_lines(
-    shape: SearchShape, reports: list[CounterexampleReport]
-) -> list[str]:
-    """The human search listing; each distinct mask is spelled once."""
-    texts = {m: format_set(m) for m in {m for r in reports for m in r.family}}
+    shape: SearchShape, count: int, reports: Iterator[CounterexampleReport]
+) -> Iterator[str]:
+    """The human search listing, a piece per report; each mask is spelled once."""
+    text = cache(format_set)
     pairs = " ".join(
         format_set(mask_from_elements(p, shape.ground_size)) for p in shape.missing_pairs
     )
-    lines = [
-        f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}",
-        f"counterexamples found: {len(reports)}",
-    ]
+    yield (
+        f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}\n"
+        f"counterexamples found: {count}"
+    )
     for idx, r in enumerate(reports, start=1):
-        lines.append(
-            f"counterexample {idx}: {len(r.family)} sets, max frequency {r.max_frequency}"
+        yield (
+            f"\ncounterexample {idx}: {len(r.family)} sets, max frequency {r.max_frequency}"
+            f"\n  {' '.join(map(text, r.family))}"
         )
-        lines.append("  " + " ".join([texts[m] for m in r.family]))
-    return lines
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchShape, search_counterexamples
+    from .search import SearchShape, _search_reports
 
     if args.workers < 1:
         raise ValueError("workers must be at least 1")
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
-    found = search_counterexamples(shape, canonical=args.canonical)
+    found, reports = _search_reports(shape, canonical=args.canonical)
     elapsed = time.perf_counter() - started
-    print(
-        f"search finished in {elapsed:.1f}s with {len(found)} result(s)",
-        file=sys.stderr,
-    )
+    print(f"search finished in {elapsed:.1f}s with {found} result(s)", file=sys.stderr)
     started = time.perf_counter()
-    reports = found[: args.limit]
-    if args.json:
-        pieces = _search_json(shape, reports)
-    else:
-        pieces = ["\n".join(_search_lines(shape, reports))]
+    count = found if args.limit is None else min(found, args.limit)
+    writer = _search_json if args.json else _search_lines
     size = 0
-    for piece in chain(pieces, ["\n"]):
+    for piece in chain(writer(shape, count, islice(reports, count)), ["\n"]):
         sys.stdout.write(piece)
         size += len(piece.encode())
+    # The exit code claims that the shape admits a family, so the reports
+    # past --limit are built and verified too.
+    for _ in reports:
+        pass
     sys.stdout.flush()
     elapsed = time.perf_counter() - started
-    print(
-        f"output of {size} bytes written in {elapsed:.3f}s",
-        file=sys.stderr,
-    )
-    # The exit code answers whether the shape admits a family, which
-    # --limit does not change.
+    note = f"{found} report(s) built and verified, {size} bytes written in {elapsed:.3f}s"
+    print(note, file=sys.stderr)
     return 0 if found else 1
 
 
@@ -325,10 +319,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     re = reimer_bound_holds(fam)
     checks = len(cert) * (len(cert) - 1) // 2
     # The report's constructor has already refused an element in half the
-    # members. A failed re-check is an internal fault: exit 4, never 1.
+    # members; a failed re-check is a fault of this program (exit 4).
     if not re.holds:
-        print("demo family failed re-verification", file=sys.stderr)
-        return 4
+        raise RuntimeError("demo family failed re-verification")
     payload = {
         "report": report.to_dict(),
         "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},

@@ -44,7 +44,7 @@ def _check_masks(masks: Iterable[object], n: int, what: str) -> list[int]:
     naming a subset of {1..n}; what names a mask in the error."""
     masks = list(masks)
     for m in masks:
-        if isinstance(m, bool) or not isinstance(m, int) or m < 0 or m >> n:
+        if type(m) is not int and (isinstance(m, bool) or not isinstance(m, int)) or m >> n:
             raise FamilyFormatError(
                 f"{what} {m!r} is not an integer mask within ground size {n}"
             )

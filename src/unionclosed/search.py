@@ -4,12 +4,11 @@ ground-size lower bound and the exhaustive small-ground sweeps.
 
 The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images. The backtrack over it and the
-image order live in skeleton.py; here each solution, a member tuple
-aligned with the images, is paired with them into a CounterexampleReport,
-which re-runs the full verification, and the reports are sorted. The
-demo family goes through the same builder. The backtrack returns its
-solutions in groups of relabelings of one another, so canonical dedup
-computes one key per group.
+image order live in skeleton.py. Here the solutions, member tuples
+aligned with the images, are sorted as flat keys, and each report is
+built from its key, which re-runs the full verification, only when the
+caller reaches it. The demo family goes through the same builder.
+Canonical dedup computes one key per group of relabeled solutions.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
@@ -27,7 +26,8 @@ violations become Family objects.
 from __future__ import annotations
 
 from itertools import chain, compress, permutations, product
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
 from .family import (
@@ -187,8 +187,12 @@ def minimal_counterexample() -> CounterexampleReport:
 def _skeleton_report(
     n: int, members: tuple[int, ...], images: tuple[int, ...]
 ) -> CounterexampleReport:
-    """Pair each member with the skeleton image at its position."""
-    return CounterexampleReport(Family(n, members), Certificate(n, tuple(zip(members, images))))
+    """Pair each member with the skeleton image at its position. A report of
+    the program's own that fails re-verification is a fault: RuntimeError."""
+    try:
+        return CounterexampleReport(Family(n, members), Certificate(n, tuple(zip(members, images))))
+    except ValueError as exc:
+        raise RuntimeError(f"a skeleton report failed re-verification: {exc}") from exc
 
 
 def _canonical_key(members: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -235,9 +239,21 @@ def search_counterexamples(
     has every element in fewer than half the members. The list is sorted
     by member masks (then images); the enumeration always completes and
     an empty result is a proof that the shape admits nothing. canonical
-    keeps one representative per relabeling orbit, the first in that
-    order, and computes one canonical key per group of solutions the
-    backtrack returns, since a group holds relabelings of one family.
+    keeps one representative per relabeling orbit, the first in order.
+    """
+    return list(_search_reports(shape, canonical=canonical)[1])
+
+
+def _search_reports(
+    shape: SearchShape, *, canonical: bool
+) -> tuple[int, Iterator[CounterexampleReport]]:
+    """How many reports search_counterexamples lists, and an iterator that
+    builds, and so verifies, each report only when it is reached.
+
+    A solution's flat key (members sorted, images in member order) sorts
+    as its report's (family.members, certificate.pairs). canonical builds
+    every report at once and keeps the least per canonical key, computed
+    once per group of solutions, which holds relabelings of one family.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -250,23 +266,16 @@ def search_counterexamples(
         )
     groups = _search_solutions(n, shape.missing_pairs)
     images = _skeleton_images(n, shape.missing_pairs)
-
-    def order(r: CounterexampleReport) -> tuple:
-        return r.family.members, r.certificate.pairs
-
     if not canonical:
-        reports = [_skeleton_report(n, sol, images) for group in groups for sol in group]
-        reports.sort(key=order)
-        return reports
-    # A group's families are relabelings of one another, so they share one
-    # key; each key keeps its least report, as a scan of the sorted list would.
+        keys = sorted(tuple(zip(*sorted(zip(sol, images)))) for group in groups for sol in group)
+        return len(keys), (_skeleton_report(n, *key) for key in keys)
+    order = attrgetter("family.members", "certificate.pairs")
     least: dict[tuple[int, ...], CounterexampleReport] = {}
     for group in groups:
         report = min((_skeleton_report(n, sol, images) for sol in group), key=order)
         key = _canonical_key(report.family.members, n)
-        if key not in least or order(report) < order(least[key]):
-            least[key] = report
-    return sorted(least.values(), key=order)
+        least[key] = min(least.get(key, report), report, key=order)
+    return len(least), iter(sorted(least.values(), key=order))
 
 
 class SweepSummary(NamedTuple):

@@ -28,9 +28,6 @@ Everything is enumerated in fixed orders. The skeleton's images are
 stated once, in _skeleton_images, and every solution is the member tuple
 aligned with them. Solutions come in groups: one found at an orbit
 representative, then its relabelings onto the rest of the orbit.
-search.py pairs every solution, oriented or relabeled, with the images
-into a CounterexampleReport, which re-runs the full verification, and
-sorts the reports; canonical dedup computes one key per group.
 
 It is a module of its own because Python compiles each module's source
 as a whole, and the compile's peak memory grows with the module: two

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import pytest
 import unionclosed
 from unionclosed import (
     Certificate,
+    CertificateVerdict,
     CounterexampleReport,
     Family,
     ReimerVerdict,
@@ -124,6 +126,15 @@ def test_check_deeply_nested_json_is_a_data_error(tmp_path, capsys):
     path.write_text("[" * 100_000)
     assert main(["check", str(path)]) == 2
     assert "nests too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "certify"])
+def test_oversized_integer_is_a_data_error_naming_the_file(command, tmp_path, capsys):
+    # json.loads refuses an integer literal past 4,300 digits with a bare ValueError
+    path = tmp_path / "huge.json"
+    path.write_text('{"ground": 2, "sets": [[' + "1" * 5000 + "]]}")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path} cannot be parsed: ")
 
 
 def test_check_wrong_schema(family_file, capsys):
@@ -292,6 +303,65 @@ def test_search_limit_truncates_the_sorted_list(capsys):
     assert main(argv + ["--limit", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 0 and payload["reports"] == []
+
+
+def _patch_search_verify(monkeypatch, good):
+    """Count the search's verify_certificate calls; every call after the
+    first good ones returns an invalid verdict."""
+    calls = []
+
+    def verify(fam, cert):
+        calls.append(fam)
+        if good is not None and len(calls) > good:
+            return CertificateVerdict(False, "disjointness", "patched")
+        return verify_certificate(fam, cert)
+
+    monkeypatch.setattr("unionclosed.search.verify_certificate", verify)
+    return calls
+
+
+@pytest.mark.parametrize("limit", ["3", "0"])
+def test_search_limit_still_verifies_every_report(limit, monkeypatch, capsys):
+    # the exit code claims that the shape admits a family, so every report
+    # is built and verified, however few are written
+    calls = _patch_search_verify(monkeypatch, None)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--limit", limit, "--json"]) == 0
+    assert len(calls) == 1344
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == int(limit)
+    assert "1344 report(s) built and verified" in captured.err
+
+
+@pytest.mark.parametrize("good", [0, 4])
+def test_search_failed_self_verification_exits_four(good, monkeypatch, capsys):
+    # a report the search built failing its re-check is a fault of this
+    # program, not bad data; stdout then stops after the reports before it
+    _patch_search_verify(monkeypatch, good)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "certificate does not verify: disjointness" in captured.err
+    assert captured.out.startswith('{"count": 1344, "reports": [')
+    assert captured.out.count('"certificate"') == good
+
+
+def test_search_holds_at_most_two_reports(monkeypatch, capsys):
+    # streamed: the report being written and the one being built, never the list
+    class Tracked(CounterexampleReport):  # no __slots__, so weakly referable
+        pass
+
+    built, freed, alive = [], [], []
+
+    def track(family, certificate):
+        report = Tracked(family, certificate)
+        built.append(weakref.ref(report, freed.append))
+        alive.append(len(built) - len(freed))
+        return report
+
+    monkeypatch.setattr("unionclosed.search.CounterexampleReport", track)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == len(built) == 1344
+    assert max(alive) <= 2
 
 
 @pytest.mark.parametrize(
@@ -480,6 +550,15 @@ def test_demo_failed_recheck_exits_four(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "demo family failed re-verification" in captured.err
+
+
+def test_demo_failed_certificate_recheck_exits_four(monkeypatch, capsys):
+    # the bundled report is built by the program; its failing is a fault
+    _patch_search_verify(monkeypatch, 0)
+    assert main(["demo", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error" in captured.err
 
 
 # ------------------------------------------------------------- enumerate

@@ -82,7 +82,7 @@ def test_family_rejects_duplicates_and_range():
         Family(-1, ())
     with pytest.raises(FamilyFormatError):
         Family(MAX_GROUND + 1, ())
-    for members in ((True, 2), (1.5,), ("1",)):
+    for members in ((True, 2), (1.5,), ("1",), (-1,), (0, -4)):
         with pytest.raises(FamilyFormatError):
             Family(3, members)
 

@@ -42,7 +42,12 @@ from unionclosed import (
     verify_certificate,
 )
 from unionclosed.search import _canonical_key, _certified_codes, _filters, _violations
-from unionclosed.skeleton import _pair_symmetries, _search_solutions, _unit_orbits
+from unionclosed.skeleton import (
+    _pair_symmetries,
+    _search_solutions,
+    _skeleton_images,
+    _unit_orbits,
+)
 from helpers import (
     all_subsets,
     as_sets,
@@ -359,6 +364,22 @@ def test_solution_groups_share_one_canonical_key(n, pairs):
         # one group per solution at the representative of the 16-unit
         # orbit; the 4-unit orbit has none
         assert [len(group) for group in groups] == [16] * 84
+
+
+@pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
+def test_search_sorts_as_the_report_list(n, pairs):
+    # the search sorts flat keys and builds each report from its key; that
+    # must be the order of the reports themselves, also where one family
+    # carries two certificates (744 families from 1,248 solutions at n = 7)
+    shape = SearchShape(n, pairs)
+    images = _skeleton_images(n, shape.missing_pairs)
+    reports = [
+        CounterexampleReport(Family(n, sol), Certificate(n, tuple(zip(sol, images))))
+        for group in _search_solutions(n, shape.missing_pairs)
+        for sol in group
+    ]
+    reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
+    assert search_counterexamples(shape) == reports
 
 
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
