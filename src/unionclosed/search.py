@@ -4,11 +4,13 @@ ground-size lower bound and the exhaustive small-ground sweeps.
 
 The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images. The backtrack over it and the
-image order live in skeleton.py. Here the solutions, member tuples
-aligned with the images, are sorted as flat keys, and each report is
-built from its key, which re-runs the full verification, only when the
-caller reaches it. The demo family goes through the same builder.
-Canonical dedup computes one key per group of relabeled solutions.
+image order live in skeleton.py, which only search and demo load. Here
+the solutions, member tuples aligned with the images, are sorted as flat
+keys, and each report is built from its key, which re-runs the full
+verification, only when the caller reaches it. The demo family goes
+through the same builder. Canonical dedup filters that same stream: it
+computes one key per group of relabeled solutions and lists the first
+report of each orbit.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it walks every
@@ -25,8 +27,7 @@ violations become Family objects.
 
 from __future__ import annotations
 
-from itertools import chain, compress, permutations, product
-from operator import attrgetter
+from itertools import chain, compress, permutations, product, repeat
 from typing import Iterator, NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
@@ -40,8 +41,6 @@ from .family import (
     full_mask,
     mask_from_elements,
 )
-from .skeleton import _search_solutions, _skeleton_images
-
 # The output, not the backtrack, bounds the search: at 10 the orbit
 # backtrack counts all 38,486,400 families of 1,2:3,4 in about 22 s, but
 # building and verifying their reports takes 15-28 minutes.
@@ -180,6 +179,8 @@ def minimal_counterexample() -> CounterexampleReport:
     eight co-atoms, and the complements of {1,2} and {3,4} has pairwise
     disjoint intervals. Construction re-verifies all of that.
     """
+    from .skeleton import _skeleton_images
+
     members = tuple(mask_from_elements(s, 8) for s in _MINIMAL_MEMBERS)
     return _skeleton_report(8, members, _skeleton_images(8, ((1, 2), (3, 4))))
 
@@ -248,12 +249,13 @@ def _search_reports(
     shape: SearchShape, *, canonical: bool
 ) -> tuple[int, Iterator[CounterexampleReport]]:
     """How many reports search_counterexamples lists, and an iterator that
-    builds, and so verifies, each report only when it is reached.
+    builds, and so verifies, every solution's report when it is reached.
 
-    A solution's flat key (members sorted, images in member order) sorts
-    as its report's (family.members, certificate.pairs). canonical builds
-    every report at once and keeps the least per canonical key, computed
-    once per group of solutions, which holds relabelings of one family.
+    A solution's flat key (members sorted, images in member order, then
+    its group, which holds relabelings of one family) sorts as its
+    report's (family.members, certificate.pairs). canonical computes one
+    canonical key per group and lists only the first, least, report of
+    each orbit; the others are built all the same.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -264,18 +266,26 @@ def _search_reports(
         raise ResourceLimitError(
             f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
+    from .skeleton import _search_solutions, _skeleton_images
+
     groups = _search_solutions(n, shape.missing_pairs)
     images = _skeleton_images(n, shape.missing_pairs)
-    if not canonical:
-        keys = sorted(tuple(zip(*sorted(zip(sol, images)))) for group in groups for sol in group)
-        return len(keys), (_skeleton_report(n, *key) for key in keys)
-    order = attrgetter("family.members", "certificate.pairs")
-    least: dict[tuple[int, ...], CounterexampleReport] = {}
-    for group in groups:
-        report = min((_skeleton_report(n, sol, images) for sol in group), key=order)
-        key = _canonical_key(report.family.members, n)
-        least[key] = min(least.get(key, report), report, key=order)
-    return len(least), iter(sorted(least.values(), key=order))
+    keys = sorted(
+        (*zip(*sorted(zip(sol, images))), g) for g, group in enumerate(groups) for sol in group
+    )
+    count, listed = len(keys), repeat(True)
+    if canonical:
+        orbit = [_canonical_key(group[0], n) for group in groups]
+        seen = set()
+        listed = []
+        for *_, g in keys:
+            listed.append(orbit[g] not in seen)
+            seen.add(orbit[g])
+        count = len(seen)
+    # compress drops an unlisted report at once, so at most the one the
+    # caller holds and the one being built are alive
+    built = (_skeleton_report(n, members, paired) for members, paired, _ in keys)
+    return count, compress(built, listed)
 
 
 class SweepSummary(NamedTuple):

@@ -4,8 +4,8 @@ Exit code contract: 0 for an affirmative outcome, 1 for a legitimate
 negative one, 2 for usage or data errors, 3 for refused resource
 guards, 4 for an internal error, 141 when the reader of stdout closes
 it. Everything runs in-process through main() except a run without
-numpy, checks of what start-up and a search import, and one smoke test
-of the installed entry points.
+numpy, checks of what start-up, a search and enumerate import, and one
+smoke test of the installed entry points.
 """
 
 import json
@@ -33,6 +33,7 @@ from unionclosed import (
     verify_certificate,
 )
 from unionclosed.cli import main
+from unionclosed.search import SweepSummary
 
 
 @pytest.fixture()
@@ -320,16 +321,26 @@ def _patch_search_verify(monkeypatch, good):
     return calls
 
 
-@pytest.mark.parametrize("limit", ["3", "0"])
-def test_search_limit_still_verifies_every_report(limit, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    ("limit", "extra"),
+    [
+        pytest.param("3", [], id="3"),
+        pytest.param("0", [], id="0"),
+        pytest.param("3", ["--canonical"], id="3-canonical"),
+        pytest.param("0", ["--canonical"], id="0-canonical"),
+    ],
+)
+def test_search_limit_still_verifies_every_report(limit, extra, monkeypatch, capsys):
     # the exit code claims that the shape admits a family, so every report
-    # is built and verified, however few are written
+    # is built and verified, however few are written or listed
     calls = _patch_search_verify(monkeypatch, None)
-    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--limit", limit, "--json"]) == 0
+    argv = ["search", "--n", "8", "--pairs", "1,2:3,4", "--limit", limit, "--json", *extra]
+    assert main(argv) == 0
     assert len(calls) == 1344
     captured = capsys.readouterr()
     assert json.loads(captured.out)["count"] == int(limit)
-    assert "1344 report(s) built and verified" in captured.err
+    found = 7 if extra else 1344
+    assert f"{found} report(s) built and verified" in captured.err
 
 
 @pytest.mark.parametrize("good", [0, 4])
@@ -345,8 +356,35 @@ def test_search_failed_self_verification_exits_four(good, monkeypatch, capsys):
     assert captured.out.count('"certificate"') == good
 
 
-def test_search_holds_at_most_two_reports(monkeypatch, capsys):
-    # streamed: the report being written and the one being built, never the list
+@pytest.mark.parametrize("good", [0, 4])
+def test_canonical_search_failed_self_verification_exits_four(good, monkeypatch, capsys):
+    # canonical streams like plain search: stdout stops after whole reports
+    # that begin the canonical list
+    shape = SearchShape(8, ((1, 2), (3, 4)))
+    listed = [
+        json.dumps(r.to_dict(), sort_keys=True)
+        for r in search_counterexamples(shape, canonical=True)
+    ]
+    _patch_search_verify(monkeypatch, good)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--canonical", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "certificate does not verify: disjointness" in captured.err
+    head = '{"count": 7, "reports": ['
+    assert captured.out.startswith(head)
+    prefixes = [", ".join(listed[:k]) for k in range(len(listed) + 1)]
+    written = prefixes.index(captured.out[len(head):])
+    # the first report in key order is the least of its orbit, so it is listed
+    assert (written > 0) == (good > 0)
+
+
+@pytest.mark.parametrize(
+    ("extra", "count"),
+    [pytest.param([], 1344, id="plain"), pytest.param(["--canonical"], 7, id="canonical")],
+)
+def test_search_holds_at_most_two_reports(extra, count, monkeypatch, capsys):
+    # streamed: the report being written and the one being built, never the
+    # list; canonical builds every report too but drops the unlisted at once
     class Tracked(CounterexampleReport):  # no __slots__, so weakly referable
         pass
 
@@ -359,8 +397,9 @@ def test_search_holds_at_most_two_reports(monkeypatch, capsys):
         return report
 
     monkeypatch.setattr("unionclosed.search.CounterexampleReport", track)
-    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == len(built) == 1344
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json", *extra]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == count
+    assert len(built) == 1344
     assert max(alive) <= 2
 
 
@@ -458,6 +497,25 @@ def test_startup_leaves_dataclasses_and_search_unimported():
         "import unionclosed\n"
         "for name in unionclosed.__all__:\n"
         "    getattr(unionclosed, name)\n"
+    )
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_enumerate_leaves_the_skeleton_unimported():
+    # only search and demo use the backtrack module
+    program = (
+        "import contextlib, io, sys, unionclosed.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert unionclosed.cli.main(['enumerate', '--n', '2', '--json']) == 0\n"
+        "assert 'unionclosed.search' in sys.modules\n"
+        "sys.exit('unionclosed.skeleton' in sys.modules)"
     )
     src = str(Path(unionclosed.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -584,6 +642,23 @@ def test_enumerate_ground_four(capsys):
         "scanned": 65534,
         "violations": [],
     }
+
+
+@pytest.mark.parametrize(
+    "json_flag", [pytest.param([], id="human"), pytest.param(["--json"], id="json")]
+)
+def test_enumerate_lists_violations_and_exits_one(json_flag, monkeypatch, capsys):
+    # no ground size the sweep reaches has a violation, so one is patched in
+    bad = Family(2, (0b01, 0b10, 0b11))
+    summary = SweepSummary(2, 14, 13, (bad,))
+    monkeypatch.setattr("unionclosed.search.conjecture_sweep", lambda n: summary)
+    assert main(["enumerate", "--n", "2", *json_flag]) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        assert json.loads(out)["violations"] == [bad.to_dict()]
+    else:
+        assert "1 fail the half-element property" in out
+        assert "  " + " ".join(format_set(m) for m in bad) + "\n" in out
 
 
 def test_enumerate_rejects_large_ground(capsys):
