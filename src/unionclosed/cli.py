@@ -288,7 +288,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("workers must be at least 1")
     shape = SearchShape(args.n, _parse_pairs(args.pairs))
     started = time.perf_counter()
-    found, reports = _search_reports(shape, canonical=args.canonical)
+    found, built, reports = _search_reports(shape, canonical=args.canonical)
     elapsed = time.perf_counter() - started
     print(f"search finished in {elapsed:.1f}s with {found} result(s)", file=sys.stderr)
     started = time.perf_counter()
@@ -304,7 +304,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         pass
     sys.stdout.flush()
     elapsed = time.perf_counter() - started
-    note = f"{found} report(s) built and verified, {size} bytes written in {elapsed:.3f}s"
+    note = f"{built} report(s) built and verified, {size} bytes written in {elapsed:.3f}s"
     print(note, file=sys.stderr)
     return 0 if found else 1
 

@@ -3,23 +3,23 @@ no element reaches half the members, plus the degree budget behind the
 ground-size lower bound and the exhaustive small-ground sweeps.
 
 The searched families have a fixed skeleton: the full set, the co-atoms
-and chosen pair complements as images. The backtrack over it and the
-image order live in skeleton.py, which only search and demo load. Here
-the solutions, member tuples aligned with the images, are sorted as flat
-keys, and each report is built from its key, which re-runs the full
-verification, only when the caller reaches it. The demo family goes
-through the same builder. Canonical dedup filters that same stream: it
-computes one key per group of relabeled solutions and lists the first
-report of each orbit.
+and chosen pair complements as images, in the order _skeleton_images
+states. The backtrack over it lives in skeleton.py, which only search
+loads. Here the solutions, member tuples aligned with the images, are
+sorted as flat keys, and each report is built from its key, which
+re-runs the full verification, only when the caller reaches it. The
+demo family goes through the same builder. Canonical dedup filters that
+same stream: it computes one key per group of relabeled solutions and
+lists the first report of each orbit.
 
 The small-ground sweep runs in one process and goes filter by filter
-instead of deciding each of the 2**(2**n) families: it walks every
-nonempty filter over [n], places one member below each image with
-pairwise disjoint intervals, and marks the family each completed
-placement builds. A member whose interval holds another image of the
-filter is never a candidate, and that cut alone decides the full set's
-member, so the last level marks families in a flat loop with no clash
-test. The marked families are exactly those that admit a certificate.
+instead of deciding each of the 2**(2**n) families: it builds every
+nonempty filter over [n] as its code from the up-sets over one element
+fewer, places one member below each image with pairwise disjoint
+intervals, and marks the family each completed placement builds. A
+member whose interval holds another image of the filter is never a
+candidate, and that cut alone decides the full set's member, so the
+last level marks families in a flat loop with no clash test. The marked families are exactly those that admit a certificate.
 Each family is handled as its code, the 2**n-bit int with bit a set for
 each member a, and the half-element verdict is taken on that code; only
 violations become Family objects.
@@ -38,7 +38,6 @@ from .family import (
     _check_ground,
     _Record,
     frequency_vector,
-    full_mask,
     mask_from_elements,
 )
 # The output, not the backtrack, bounds the search: at 10 the orbit
@@ -179,10 +178,19 @@ def minimal_counterexample() -> CounterexampleReport:
     eight co-atoms, and the complements of {1,2} and {3,4} has pairwise
     disjoint intervals. Construction re-verifies all of that.
     """
-    from .skeleton import _skeleton_images
-
     members = tuple(mask_from_elements(s, 8) for s in _MINIMAL_MEMBERS)
     return _skeleton_report(8, members, _skeleton_images(8, ((1, 2), (3, 4))))
+
+
+def _skeleton_images(n: int, missing: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The skeleton's images over {1..n} as masks: the full set, then the
+    co-atoms [n] - {v} for v = 1..n, then [n] - p for each missing pair p."""
+    full = (1 << n) - 1
+    return (
+        full,
+        *[full ^ (1 << v) for v in range(n)],
+        *[full ^ mask_from_elements(p, n) for p in missing],
+    )
 
 
 def _skeleton_report(
@@ -242,14 +250,15 @@ def search_counterexamples(
     an empty result is a proof that the shape admits nothing. canonical
     keeps one representative per relabeling orbit, the first in order.
     """
-    return list(_search_reports(shape, canonical=canonical)[1])
+    return list(_search_reports(shape, canonical=canonical)[2])
 
 
 def _search_reports(
     shape: SearchShape, *, canonical: bool
-) -> tuple[int, Iterator[CounterexampleReport]]:
-    """How many reports search_counterexamples lists, and an iterator that
-    builds, and so verifies, every solution's report when it is reached.
+) -> tuple[int, int, Iterator[CounterexampleReport]]:
+    """How many reports search_counterexamples lists, how many the iterator
+    builds, and the iterator, which builds, and so verifies, every
+    solution's report when it is reached and yields the listed ones.
 
     A solution's flat key (members sorted, images in member order, then
     its group, which holds relabelings of one family) sorts as its
@@ -266,7 +275,7 @@ def _search_reports(
         raise ResourceLimitError(
             f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
-    from .skeleton import _search_solutions, _skeleton_images
+    from .skeleton import _search_solutions
 
     groups = _search_solutions(n, shape.missing_pairs)
     images = _skeleton_images(n, shape.missing_pairs)
@@ -285,7 +294,7 @@ def _search_reports(
     # compress drops an unlisted report at once, so at most the one the
     # caller holds and the one being built are alive
     built = (_skeleton_report(n, members, paired) for members, paired, _ in keys)
-    return count, compress(built, listed)
+    return count, len(keys), compress(built, listed)
 
 
 class SweepSummary(NamedTuple):
@@ -295,41 +304,32 @@ class SweepSummary(NamedTuple):
     violations: tuple[Family, ...]
 
 
-def _filters(n: int) -> list[tuple[int, ...]]:
-    """Every nonempty filter over {1..n}, each as its members smallest first.
+def _filters(n: int) -> list[int]:
+    """Every nonempty filter over {1..n} as its code, bit f set for each
+    image f.
 
-    Sets are visited in decreasing mask order, so a set comes after all
-    its proper supersets. A set may join only when all its one-element
-    supersets are in, which by induction puts every superset in.
+    An up-set over {1..k+1} splits into the sets without k+1 and those
+    with it, k+1 removed: up-sets a within b over {1..k}, and its code is
+    a | b << 2**k. Over the empty ground the up-sets are 0 and {{}}.
     """
-    full = full_mask(n)
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def walk(s: int, inside: int) -> None:
-        if s < 0:
-            if chosen:
-                found.append(tuple(reversed(chosen)))
-            return
-        if all(inside >> (s | 1 << e) & 1 for e in range(n) if not s >> e & 1):
-            chosen.append(s)
-            walk(s - 1, inside | 1 << s)
-            chosen.pop()
-        walk(s - 1, inside)
-
-    walk(full, 0)
-    return found
+    codes = [0, 1]
+    for k in range(n):
+        codes = [a | b << (1 << k) for b in codes for a in codes if a & b == a]
+    return codes[1:]  # the empty up-set is first
 
 
 def _certified_codes(n: int) -> bytearray:
     """Mark every family over {1..n} that some filter certifies, filter by
     filter.
 
-    For each filter one member a below each image f is placed, keeping
-    [a, f] only if it misses every interval placed so far. Intervals are
-    the lattice bitmasks over the 2**n subsets from certificates._cubes,
-    the format find_certificate decides on. Small images have few members
-    below them, so placing them first keeps the tree narrow near its root.
+    Each filter comes as its code, held, whose set bits are its images.
+    One member a below each image f is placed, keeping [a, f] only if it
+    misses every interval placed so far. Intervals are the lattice
+    bitmasks over the 2**n subsets from certificates._cubes, the format
+    find_certificate decides on, so held is also the image set that an
+    interval is tested against. The images are placed in ascending mask
+    order: small images have few members below them, so placing them
+    first keeps the tree narrow near its root.
 
     Each filter first drops every candidate a whose interval [a, f] holds
     another image g: [a, f] would meet [b, g] at g whatever b is, so no
@@ -344,9 +344,9 @@ def _certified_codes(n: int) -> bytearray:
     """
     size = 1 << n
     up, down = _cubes(n)
-    # below[f] pairs every a within f with the interval [a, f]
+    # below[f] pairs the bit of every a within f with the interval [a, f]
     below = [
-        [(a, up[a] & down[f]) for a in range(size) if a | f == f] for f in range(size)
+        [(1 << a, up[a] & down[f]) for a in range(size) if a | f == f] for f in range(size)
     ]
     marks = bytearray(1 << size)
 
@@ -360,10 +360,11 @@ def _certified_codes(n: int) -> bytearray:
                 place(k + 1, code | bit, covered | iv)
 
     # place reads the current filter's candidates from lists, tops and last
-    for images in _filters(n):
-        held = sum(1 << f for f in images)
+    for held in _filters(n):
         *lists, top = [
-            [(1 << a, iv) for a, iv in below[f] if iv & held == 1 << f] for f in images
+            [c for c in below[f] if c[1] & held == 1 << f]
+            for f in range(size)
+            if held >> f & 1
         ]
         last = len(lists)
         tops = [bit for bit, _ in top]
@@ -376,14 +377,16 @@ def _violations(n: int, marks: bytearray) -> tuple[Family, ...]:
     the members, sorted by member masks.
 
     The verdict is frankl_check's predicate taken on the family code:
-    holds[e] has bit a set for each subset a holding element e, so
+    holds[e], the up-set of {e} from certificates._cubes, has bit a set
+    for each subset a holding element e, so
     (code & holds[e]).bit_count() is e's frequency and code.bit_count()
     the family size. Only violations become Family objects. marks must
     not mark code 0 or 1 (the empty family and the bare {{}}), which
     carry no element to count.
     """
     space = 1 << n
-    holds = [sum(1 << a for a in range(space) if a >> e & 1) for e in range(n)]
+    up, _ = _cubes(n)
+    holds = [up[1 << e] for e in range(n)]
     bad = []
     for code in compress(range(len(marks)), marks):
         size = code.bit_count()

@@ -25,14 +25,14 @@ solutions are relabeled onto the rest (20 units in 2 orbits for pairs
 {1,2} and {3,4} at n = 8).
 
 Everything is enumerated in fixed orders. The skeleton's images are
-stated once, in _skeleton_images, and every solution is the member tuple
-aligned with them. Solutions come in groups: one found at an orbit
+stated once, in search._skeleton_images, and every solution is the member
+tuple aligned with them. Solutions come in groups: one found at an orbit
 representative, then its relabelings onto the rest of the orbit.
 
-It is a module of its own because Python compiles each module's source
-as a whole, and the compile's peak memory grows with the module: two
-halves compiled one after the other peak lower than one file holding
-both, in every command that loads search.py.
+It is a module of its own, loaded only by the search command, because
+Python compiles each module's source as a whole: demo and enumerate,
+which load search.py, never compile it, and two halves compiled one
+after the other peak lower than one file holding both.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ def _unit_orbits(
     return orbits
 
 
-def _skeleton_images(n: int, missing: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The skeleton's images over {1..n} as masks: the full set, then the
-    co-atoms [n] - {v} for v = 1..n, then [n] - p for each missing pair p."""
-    full = (1 << n) - 1
-    return (
-        full,
-        *[full ^ (1 << v) for v in range(n)],
-        *[full ^ mask_from_elements(p, n) for p in missing],
-    )
-
-
 def _search_solutions(
     n: int, missing: tuple[tuple[int, int], ...]
 ) -> list[list[tuple[int, ...]]]:
@@ -122,7 +111,7 @@ def _search_solutions(
     solution followed by its relabelings onto the rest of the orbit, so a
     group's families are relabelings of one another. A solution is the
     member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
-    _skeleton_images(n, missing): B_k belongs to the k-th missing pair
+    search._skeleton_images(n, missing): B_k belongs to the k-th missing pair
     and the full-set member is the full set itself. Each complete choice of
     pair members is one unit of work. A relabeling that maps the set of
     missing pairs onto itself maps every constraint of a unit onto those

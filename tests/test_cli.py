@@ -321,26 +321,31 @@ def _patch_search_verify(monkeypatch, good):
     return calls
 
 
+TWO_PAIRS_8 = ["--n", "8", "--pairs", "1,2:3,4"]
+
+
 @pytest.mark.parametrize(
-    ("limit", "extra"),
+    ("argv", "count", "built"),
     [
-        pytest.param("3", [], id="3"),
-        pytest.param("0", [], id="0"),
-        pytest.param("3", ["--canonical"], id="3-canonical"),
-        pytest.param("0", ["--canonical"], id="0-canonical"),
+        pytest.param([*TWO_PAIRS_8, "--limit", "3"], 3, 1344, id="3"),
+        pytest.param([*TWO_PAIRS_8, "--limit", "0"], 0, 1344, id="0"),
+        pytest.param([*TWO_PAIRS_8, "--limit", "3", "--canonical"], 3, 1344, id="3-canonical"),
+        pytest.param([*TWO_PAIRS_8, "--limit", "0", "--canonical"], 0, 1344, id="0-canonical"),
+        pytest.param(
+            ["--n", "7", "--pairs", "1,2:3,4:5,6", "--canonical"], 18, 1248, id="n7-canonical"
+        ),
     ],
 )
-def test_search_limit_still_verifies_every_report(limit, extra, monkeypatch, capsys):
+def test_search_limit_still_verifies_every_report(argv, count, built, monkeypatch, capsys):
     # the exit code claims that the shape admits a family, so every report
-    # is built and verified, however few are written or listed
+    # is built and verified, however few are written or listed, and the
+    # closing note counts them all
     calls = _patch_search_verify(monkeypatch, None)
-    argv = ["search", "--n", "8", "--pairs", "1,2:3,4", "--limit", limit, "--json", *extra]
-    assert main(argv) == 0
-    assert len(calls) == 1344
+    assert main(["search", *argv, "--json"]) == 0
+    assert len(calls) == built
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["count"] == int(limit)
-    found = 7 if extra else 1344
-    assert f"{found} report(s) built and verified" in captured.err
+    assert json.loads(captured.out)["count"] == count
+    assert f"{built} report(s) built and verified" in captured.err
 
 
 @pytest.mark.parametrize("good", [0, 4])
@@ -508,12 +513,19 @@ def test_startup_leaves_dataclasses_and_search_unimported():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_enumerate_leaves_the_skeleton_unimported():
-    # only search and demo use the backtrack module
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["enumerate", "--n", "2", "--json"], id="enumerate"),
+        pytest.param(["demo", "--json"], id="demo"),
+    ],
+)
+def test_enumerate_leaves_the_skeleton_unimported(argv):
+    # only search uses the backtrack module
     program = (
         "import contextlib, io, sys, unionclosed.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert unionclosed.cli.main(['enumerate', '--n', '2', '--json']) == 0\n"
+        f"    assert unionclosed.cli.main({argv!r}) == 0\n"
         "assert 'unionclosed.search' in sys.modules\n"
         "sys.exit('unionclosed.skeleton' in sys.modules)"
     )
