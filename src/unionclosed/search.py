@@ -5,12 +5,12 @@ ground-size lower bound and the exhaustive small-ground sweeps.
 The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images, in the order _skeleton_images
 states. The backtrack over it lives in skeleton.py, which only search
-loads. Here the solutions, member tuples aligned with the images, are
-sorted as flat keys, and each report is built from its key, which
-re-runs the full verification, only when the caller reaches it. The
-demo family goes through the same builder. Canonical dedup filters that
-same stream: it computes one key per group of relabeled solutions and
-lists the first report of each orbit.
+loads. Here the backtrack's solutions, member tuples aligned with the
+images, are read once and held only as flat sort keys; each report is
+built from its key, which re-runs the full verification, only when the
+caller reaches it. The demo family goes through the same builder.
+Canonical dedup filters that same stream: it keys each group of
+relabeled solutions once and lists the first report of each orbit.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it builds every
@@ -40,9 +40,9 @@ from .family import (
     frequency_vector,
     mask_from_elements,
 )
-# The output, not the backtrack, bounds the search: at 10 the orbit
-# backtrack counts all 38,486,400 families of 1,2:3,4 in about 22 s, but
-# building and verifying their reports takes 15-28 minutes.
+# The held sort keys, not the backtrack, bound the search: at 10 the orbit
+# backtrack yields all 38,486,400 families of 1,2:3,4 in about 22 s, but
+# their sort keys hold about 15 GB and their reports take 15-28 minutes.
 SEARCH_CAP = 10
 # Canonical dedup tries every relabeling that keeps each element inside its
 # invariant cell; when all elements share one cell that is all n! of them.
@@ -260,11 +260,12 @@ def _search_reports(
     builds, and the iterator, which builds, and so verifies, every
     solution's report when it is reached and yields the listed ones.
 
-    A solution's flat key (members sorted, images in member order, then
-    its group, which holds relabelings of one family) sorts as its
-    report's (family.members, certificate.pairs). canonical computes one
-    canonical key per group and lists only the first, least, report of
-    each orbit; the others are built all the same.
+    The backtrack is read once and only its flat keys are held. A
+    solution's key (members sorted, images in member order, then its
+    group, which holds relabelings of one family) sorts as its report's
+    (family.members, certificate.pairs). canonical keys each group in the
+    same pass and lists only the first, least, report of each orbit; the
+    others are built all the same.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -277,14 +278,15 @@ def _search_reports(
         )
     from .skeleton import _search_solutions
 
-    groups = _search_solutions(n, shape.missing_pairs)
     images = _skeleton_images(n, shape.missing_pairs)
-    keys = sorted(
-        (*zip(*sorted(zip(sol, images))), g) for g, group in enumerate(groups) for sol in group
-    )
+    keys, orbit = [], []
+    for g, group in enumerate(_search_solutions(n, shape.missing_pairs)):
+        keys += [(*zip(*sorted(zip(sol, images))), g) for sol in group]
+        if canonical:
+            orbit.append(_canonical_key(group[0], n))
+    keys.sort()
     count, listed = len(keys), repeat(True)
     if canonical:
-        orbit = [_canonical_key(group[0], n) for group in groups]
         seen = set()
         listed = []
         for *_, g in keys:
@@ -411,9 +413,7 @@ def conjecture_sweep(n: int) -> SweepSummary:
     those two. An empty violation list is an exhaustive verification for
     this ground size.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("ground size must be a positive integer")
-    if n > ENUMERATION_CAP:
+    if _check_ground(n, 1) > ENUMERATION_CAP:
         raise ResourceLimitError(
             f"exhaustive sweep is supported only up to ground size {ENUMERATION_CAP}"
         )

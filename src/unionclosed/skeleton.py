@@ -26,8 +26,8 @@ solutions are relabeled onto the rest (20 units in 2 orbits for pairs
 
 Everything is enumerated in fixed orders. The skeleton's images are
 stated once, in search._skeleton_images, and every solution is the member
-tuple aligned with them. Solutions come in groups: one found at an orbit
-representative, then its relabelings onto the rest of the orbit.
+tuple aligned with them. Solutions are yielded in groups: one found at
+an orbit representative, then its relabelings onto the rest of the orbit.
 
 It is a module of its own, loaded only by the search command, because
 Python compiles each module's source as a whole: demo and enumerate,
@@ -38,6 +38,7 @@ after the other peak lower than one file holding both.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 from .family import mask_from_elements
 
@@ -104,25 +105,24 @@ def _unit_orbits(
 
 def _search_solutions(
     n: int, missing: tuple[tuple[int, int], ...]
-) -> list[list[tuple[int, ...]]]:
+) -> Iterator[list[tuple[int, ...]]]:
     """Choose the pair members, then orient the co-atom digraph under them.
 
-    Returns the solutions in groups, each an orbit representative's
-    solution followed by its relabelings onto the rest of the orbit, so a
-    group's families are relabelings of one another. A solution is the
-    member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
-    search._skeleton_images(n, missing): B_k belongs to the k-th missing pair
-    and the full-set member is the full set itself. Each complete choice of
-    pair members is one unit of work. A relabeling that maps the set of
-    missing pairs onto itself maps every constraint of a unit onto those
-    of its image, and so the unit's solutions one to one onto the image's.
-    The units are grouped into orbits under such relabelings (see
+    Yields the solutions in groups, each as soon as it is relabeled: an
+    orbit representative's solution and its relabelings onto the rest of the
+    orbit, so a group's families are relabelings of one another. A solution
+    is the member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
+    search._skeleton_images(n, missing): B_k belongs to the k-th missing
+    pair and the full-set member is the full set itself. Each complete
+    choice of pair members is one unit of work. A relabeling that maps the
+    set of missing pairs onto itself maps every constraint of a unit onto
+    those of its image, and so the unit's solutions one to one onto the
+    image's. The units are grouped into orbits under such relabelings (see
     _unit_orbits); only the first unit of each orbit is oriented, and its
     solutions are relabeled onto the rest of the orbit. Orbits come in the
     order the walk reaches their first units. Within a unit each free pair
     takes one of three choices: low beats high, high beats low, or both.
     """
-    sink: list[list[tuple[int, ...]]] = []
     full = (1 << n) - 1
     m = n + 1 + len(missing)
     # Frequency of every element must stay below m/2; the full-set member
@@ -164,7 +164,7 @@ def _search_solutions(
     # two elements of p_k would land in more than half the members.
     slack = n * cap - sum(base_load) - len(ordered)
     if slack < 0 or max(base_load) > cap:
-        return sink
+        return
     units: list[tuple[tuple[int, ...], list[int], int]] = []
     by_size = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
 
@@ -220,8 +220,5 @@ def _search_solutions(
             for e in sigma:
                 table += [x | 1 << e for x in table]
             moves.append((table, sorted(range(n), key=sigma.__getitem__), units[u][0]))
-        sink.extend(
-            [(full, *[table[a[v]] for v in inverse], *b) for table, inverse, b in moves]
-            for a in found
-        )
-    return sink
+        for a in found:
+            yield [(full, *[table[a[v]] for v in inverse], *b) for table, inverse, b in moves]

@@ -683,6 +683,13 @@ def test_enumerate_rejects_empty_ground(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_enumerate_rejects_ground_beyond_max(capsys):
+    # past the largest ground any family may have it is a bad input (exit 2),
+    # as for search, not a refused size (exit 3)
+    assert main(["enumerate", "--n", "31"]) == 2
+    assert "error: ground size must be an integer in 1..30, got 31" in capsys.readouterr().err
+
+
 def test_enumerate_has_no_workers_option(capsys):
     assert main(["enumerate", "--n", "2", "--workers", "2"]) == 2
 

@@ -357,7 +357,7 @@ GROUPED_SHAPES = [
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
 def test_solution_groups_share_one_canonical_key(n, pairs):
     shape = SearchShape(n, pairs)
-    groups = _search_solutions(n, shape.missing_pairs)
+    groups = list(_search_solutions(n, shape.missing_pairs))
     for group in groups:
         keys = {_canonical_key(tuple(sorted(sol)), n) for sol in group}
         assert len(keys) == 1
@@ -407,6 +407,19 @@ def test_canonical_search_keys_each_group_once(monkeypatch):
     assert len(keyed) == 84
     # every report is still built and verified
     assert len(verified) == 1344
+
+
+@pytest.mark.parametrize("canonical", [False, True], ids=["plain", "canonical"])
+def test_search_reads_the_backtrack_once(monkeypatch, canonical):
+    expected = search_counterexamples(TWO_PAIRS, canonical=canonical)
+    assert len(expected) == (7 if canonical else 1344)
+    real = _search_solutions
+
+    def one_shot(n, missing):
+        return iter(list(real(n, missing)))
+
+    monkeypatch.setattr(unionclosed.skeleton, "_search_solutions", one_shot)
+    assert search_counterexamples(TWO_PAIRS, canonical=canonical) == expected
 
 
 def _group_order(gens, n):
@@ -462,7 +475,7 @@ def test_two_pair_units_form_two_orbits(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(unionclosed.skeleton, "_unit_orbits", spy)
-    _search_solutions(8, TWO_PAIRS.missing_pairs)
+    list(_search_solutions(8, TWO_PAIRS.missing_pairs))  # a generator runs when read
     (units, orbits), = seen
     assert len(units) == 20
     assert sorted(len(orbit) for orbit in orbits) == [4, 16]
