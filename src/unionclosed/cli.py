@@ -263,16 +263,17 @@ def _search_json(
 
 
 def _search_lines(
-    shape: SearchShape, count: int, reports: Iterator[CounterexampleReport]
+    shape: SearchShape, found: int, count: int, reports: Iterator[CounterexampleReport]
 ) -> Iterator[str]:
-    """The human search listing, a piece per report; each mask is spelled once."""
+    """The human search listing of count of the found reports, a piece per
+    report; each mask is spelled once."""
     text = cache(format_set)
     pairs = " ".join(
         format_set(mask_from_elements(p, shape.ground_size)) for p in shape.missing_pairs
     )
     yield (
         f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}\n"
-        f"counterexamples found: {count}"
+        f"counterexamples found: {found}{f' ({count} listed)' if count < found else ''}"
     )
     for idx, r in enumerate(reports, start=1):
         yield (
@@ -293,9 +294,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"search finished in {elapsed:.1f}s with {found} result(s)", file=sys.stderr)
     started = time.perf_counter()
     count = found if args.limit is None else min(found, args.limit)
-    writer = _search_json if args.json else _search_lines
+    listed = islice(reports, count)
+    if args.json:
+        pieces = _search_json(shape, count, listed)
+    else:
+        pieces = _search_lines(shape, found, count, listed)
     size = 0
-    for piece in chain(writer(shape, count, islice(reports, count)), ["\n"]):
+    for piece in chain(pieces, ["\n"]):
         sys.stdout.write(piece)
         size += len(piece.encode())
     # The exit code claims that the shape admits a family, so the reports

@@ -6,11 +6,13 @@ The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images, in the order _skeleton_images
 states. The backtrack over it lives in skeleton.py, which only search
 loads. Here the backtrack's solutions, member tuples aligned with the
-images, are read once and held only as flat sort keys; each report is
-built from its key, which re-runs the full verification, only when the
-caller reaches it. The demo family goes through the same builder.
-Canonical dedup filters that same stream: it keys each group of
-relabeled solutions once and lists the first report of each orbit.
+images, are read once and held only as flat sort keys, one per
+solution; each report is built from its key, which re-runs the full
+verification, only when the caller reaches it. A shape whose keys would
+outgrow a fixed budget is refused before any report is built. The demo
+family goes through the same builder. Canonical dedup filters that same
+stream: it keys each group of relabeled solutions once, keeps the least
+flat key of each orbit and lists those reports.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it builds every
@@ -27,7 +29,7 @@ violations become Family objects.
 
 from __future__ import annotations
 
-from itertools import chain, compress, permutations, product, repeat
+from itertools import chain, compress, permutations, product
 from typing import Iterator, NamedTuple
 
 from .certificates import Certificate, _cubes, verify_certificate
@@ -42,8 +44,13 @@ from .family import (
 )
 # The held sort keys, not the backtrack, bound the search: at 10 the orbit
 # backtrack yields all 38,486,400 families of 1,2:3,4 in about 22 s, but
-# their sort keys hold about 15 GB and their reports take 15-28 minutes.
+# their flat keys would hold about 10 GB and their reports take 15-28
+# minutes. SEARCH_CAP bounds the 2**n tables; _KEY_CAP refuses a shape once
+# its solutions pass what the keys can hold.
 SEARCH_CAP = 10
+# One flat key takes about 260 B at n = 9 (the 1,186,840 keys of 1,2:2,3:3,4
+# hold 313 MB by tracemalloc), so the budget stops near 1.1 GB of keys.
+_KEY_CAP = 1 << 22
 # Canonical dedup tries every relabeling that keeps each element inside its
 # invariant cell; when all elements share one cell that is all n! of them.
 CANONICAL_CAP = 8
@@ -260,12 +267,14 @@ def _search_reports(
     builds, and the iterator, which builds, and so verifies, every
     solution's report when it is reached and yields the listed ones.
 
-    The backtrack is read once and only its flat keys are held. A
-    solution's key (members sorted, images in member order, then its
-    group, which holds relabelings of one family) sorts as its report's
-    (family.members, certificate.pairs). canonical keys each group in the
-    same pass and lists only the first, least, report of each orbit; the
-    others are built all the same.
+    The backtrack is read once and only one flat key per solution is
+    held: its members sorted, then the images in member order. Every key
+    of a shape has the same length, so the keys sort as their reports'
+    (family.members, certificate.pairs). canonical keys each group of
+    relabeled solutions once, in the same pass, keeps the least flat key
+    of each orbit and lists only those reports; the others are built all
+    the same. Past _KEY_CAP solutions the search is refused with
+    ResourceLimitError, before the sort and before any report is built.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -279,24 +288,25 @@ def _search_reports(
     from .skeleton import _search_solutions
 
     images = _skeleton_images(n, shape.missing_pairs)
-    keys, orbit = [], []
-    for g, group in enumerate(_search_solutions(n, shape.missing_pairs)):
-        keys += [(*zip(*sorted(zip(sol, images))), g) for sol in group]
+    m = len(images)
+    keys, least = [], {}
+    for group in _search_solutions(n, shape.missing_pairs):
+        keys += [a + b for a, b in (zip(*sorted(zip(sol, images))) for sol in group)]
         if canonical:
-            orbit.append(_canonical_key(group[0], n))
+            orbit, first = _canonical_key(group[0], n), min(keys[-len(group):])
+            least[orbit] = min(least.get(orbit, first), first)
+        if len(keys) > _KEY_CAP:
+            raise ResourceLimitError(
+                f"structured search holds at most {_KEY_CAP} solutions; this shape has more"
+            )
     keys.sort()
-    count, listed = len(keys), repeat(True)
-    if canonical:
-        seen = set()
-        listed = []
-        for *_, g in keys:
-            listed.append(orbit[g] not in seen)
-            seen.add(orbit[g])
-        count = len(seen)
+    built = (_skeleton_report(n, key[:m], key[m:]) for key in keys)
+    if not canonical:
+        return len(keys), len(keys), built
     # compress drops an unlisted report at once, so at most the one the
     # caller holds and the one being built are alive
-    built = (_skeleton_report(n, members, paired) for members, paired, _ in keys)
-    return count, len(keys), compress(built, listed)
+    listed = set(least.values())
+    return len(listed), len(keys), compress(built, (key in listed for key in keys))
 
 
 class SweepSummary(NamedTuple):

@@ -26,6 +26,7 @@ from unionclosed import (
     CounterexampleReport,
     Family,
     ReimerVerdict,
+    ResourceLimitError,
     SearchShape,
     format_set,
     minimal_counterexample,
@@ -569,6 +570,34 @@ def test_search_refuses_large_ground(capsys):
 def test_search_refuses_canonical_above_its_cap(capsys):
     assert main(["search", "--n", "9", "--pairs", "1,2:3,4", "--canonical"]) == 3
     assert "refused:" in capsys.readouterr().err
+
+
+def test_search_refuses_beyond_the_solution_budget(monkeypatch, capsys):
+    # the held sort keys are bounded: a shape with more solutions than the
+    # budget exits 3 during the search, before any report is written
+    monkeypatch.setattr("unionclosed.search._KEY_CAP", 100)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
+    with pytest.raises(ResourceLimitError):
+        search_counterexamples(SearchShape(8, ((1, 2), (3, 4))))
+
+
+def test_search_limit_says_how_many_were_found(capsys):
+    # the human listing counts what was found and, when --limit cuts it
+    # short, how many are listed; without a cut the line is unchanged
+    cases = [
+        ([], "counterexamples found: 1344", 1344),
+        (["--limit", "3"], "counterexamples found: 1344 (3 listed)", 3),
+        (["--limit", "0"], "counterexamples found: 1344 (0 listed)", 0),
+        (["--canonical", "--limit", "3"], "counterexamples found: 7 (3 listed)", 3),
+    ]
+    for extra, line, listed in cases:
+        assert main(["search", "--n", "8", "--pairs", "1,2:3,4", *extra]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == line
+        assert sum(text.startswith("counterexample ") for text in out) == listed
 
 
 def test_search_rejects_zero_workers(capsys):
