@@ -5,14 +5,17 @@ ground-size lower bound and the exhaustive small-ground sweeps.
 The searched families have a fixed skeleton: the full set, the co-atoms
 and chosen pair complements as images, in the order _skeleton_images
 states. The backtrack over it lives in skeleton.py, which only search
-loads. Here the backtrack's solutions, member tuples aligned with the
-images, are read once and held only as flat sort keys, one per
-solution; each report is built from its key, which re-runs the full
+loads. It yields each solution found at an orbit representative, a
+member tuple aligned with the images, with one relabeling table per
+unit of its orbit. Here each solution's (member, image) pairs are
+pushed through every table and held only as flat sort keys, one per
+relabeled solution; each report is built from its key, which re-runs the full
 verification, only when the caller reaches it. A shape whose keys would
-outgrow a fixed budget is refused before any report is built. The demo
-family goes through the same builder. Canonical dedup filters that same
-stream: it keys each group of relabeled solutions once, keeps the least
-flat key of each orbit and lists those reports.
+outgrow a fixed budget, or the memory left, is refused before any
+report is built. The demo family goes through the same builder.
+Canonical dedup filters that same stream: it keys each representative's
+solution once, keeps the least flat key of each orbit and lists those
+reports.
 
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it builds every
@@ -21,7 +24,8 @@ fewer, places one member below each image with pairwise disjoint
 intervals, and marks the family each completed placement builds. A
 member whose interval holds another image of the filter is never a
 candidate, and that cut alone decides the full set's member, so the
-last level marks families in a flat loop with no clash test. The marked families are exactly those that admit a certificate.
+last level marks families in a flat loop with no clash test. The marked
+families are exactly those that admit a certificate.
 Each family is handled as its code, the 2**n-bit int with bit a set for
 each member a, and the half-element verdict is taken on that code; only
 violations become Family objects.
@@ -268,13 +272,16 @@ def _search_reports(
     solution's report when it is reached and yields the listed ones.
 
     The backtrack is read once and only one flat key per solution is
-    held: its members sorted, then the images in member order. Every key
-    of a shape has the same length, so the keys sort as their reports'
-    (family.members, certificate.pairs). canonical keys each group of
-    relabeled solutions once, in the same pass, keeps the least flat key
-    of each orbit and lists only those reports; the others are built all
-    the same. Past _KEY_CAP solutions the search is refused with
-    ResourceLimitError, before the sort and before any report is built.
+    held: its members sorted, then the images in member order. A table
+    that relabels a representative's (member, image) pairs gives another
+    solution's pairs, which sort to its key whatever order the images
+    took. Every key of a shape has the same length, so the keys sort as
+    their reports' (family.members, certificate.pairs). canonical keys
+    each representative's solution once, in the same pass, keeps the
+    least flat key of each orbit and lists only those reports; the others
+    are built all the same. Past _KEY_CAP solutions, or when the keys or
+    their sort run out of memory, the search is refused with
+    ResourceLimitError, before any report is built.
     """
     n = shape.ground_size
     if n > SEARCH_CAP:
@@ -290,16 +297,23 @@ def _search_reports(
     images = _skeleton_images(n, shape.missing_pairs)
     m = len(images)
     keys, least = [], {}
-    for group in _search_solutions(n, shape.missing_pairs):
-        keys += [a + b for a, b in (zip(*sorted(zip(sol, images))) for sol in group)]
-        if canonical:
-            orbit, first = _canonical_key(group[0], n), min(keys[-len(group):])
-            least[orbit] = min(least.get(orbit, first), first)
-        if len(keys) > _KEY_CAP:
-            raise ResourceLimitError(
-                f"structured search holds at most {_KEY_CAP} solutions; this shape has more"
-            )
-    keys.sort()
+    try:
+        for sol, tables in _search_solutions(n, shape.missing_pairs):
+            pairs = list(zip(sol, images))
+            for t in tables:
+                members, targets = zip(*sorted([(t[a], t[f]) for a, f in pairs]))
+                keys.append(members + targets)
+            if canonical:
+                orbit, first = _canonical_key(sol, n), min(keys[-len(tables):])
+                least[orbit] = min(least.get(orbit, first), first)
+            if len(keys) > _KEY_CAP:
+                raise ResourceLimitError(
+                    f"structured search holds at most {_KEY_CAP} solutions; this shape has more"
+                )
+        keys.sort()
+    except MemoryError:
+        keys.clear()
+        raise ResourceLimitError("structured search ran out of memory for its solutions") from None
     built = (_skeleton_report(n, key[:m], key[m:]) for key in keys)
     if not canonical:
         return len(keys), len(keys), built

@@ -20,14 +20,18 @@ orients the digraph, checking each A_v against the fixed B_p. Each
 choice of pair members is a unit. Every check above is stated in terms
 of the pair set, so a relabeling that maps the missing pairs onto
 themselves maps a unit's solutions one to one onto those of its image:
-only one unit per orbit of such relabelings is oriented, and its
-solutions are relabeled onto the rest (20 units in 2 orbits for pairs
-{1,2} and {3,4} at n = 8).
+only one unit per orbit of such relabelings is oriented (20 units in 2
+orbits for pairs {1,2} and {3,4} at n = 8). A relabeling is held only as
+a lookup table over the 2**n subset masks, table[a] being the image of
+a; orbits are closed one at a time, so only one orbit's tables exist at
+once.
 
 Everything is enumerated in fixed orders. The skeleton's images are
 stated once, in search._skeleton_images, and every solution is the member
-tuple aligned with them. Solutions are yielded in groups: one found at
-an orbit representative, then its relabelings onto the rest of the orbit.
+tuple aligned with them. Each solution found at an orbit representative
+is yielded with its orbit's tables; the search pushes its (member,
+image) pairs through each table to reach the rest of the orbit, so this
+module never needs the order the images take after a relabeling.
 
 It is a module of its own, loaded only by the search command, because
 Python compiles each module's source as a whole: demo and enumerate,
@@ -45,15 +49,16 @@ from .family import mask_from_elements
 
 def _pair_symmetries(
     n: int, pairs: list[tuple[int, int]]
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+) -> list[tuple[list[int], tuple[int, ...]]]:
     """Relabelings of {0..n-1} that map the set of pairs onto itself.
 
-    Returns (sigma, pi) with sigma[e] the new label of element e and pair
+    Returns (table, pi) with table[a] the relabeled subset mask a and pair
     k sent onto pair pi[k]. The candidates are every transposition and,
     for any two disjoint pairs {a, b} and {c, d}, the swap (a c)(b d);
-    only those that map each pair onto a pair are kept. For disjoint
-    pairs they generate the whole stabilizer, (S_2 wr S_k) x S_(n-2k);
-    for other pair sets they may generate less of it.
+    only those that map each pair onto a pair are kept. Each is its own
+    inverse, and so is its pi. For disjoint pairs they generate the whole
+    stabilizer, (S_2 wr S_k) x S_(n-2k); for other pair sets they may
+    generate less of it.
     """
     index = {(1 << i) | (1 << j): k for k, (i, j) in enumerate(pairs)}
     swaps = [((a, b),) for a, b in combinations(range(n), 2)]
@@ -61,67 +66,65 @@ def _pair_symmetries(
               if len({a, b, c, d}) == 4]
     found = []
     for cycles in swaps:
-        sigma = list(range(n))
+        label = list(range(n))
         for x, y in cycles:
-            sigma[x], sigma[y] = y, x
-        pi = [index.get((1 << sigma[i]) | (1 << sigma[j])) for i, j in pairs]
+            label[x], label[y] = y, x
+        table = [0]  # after element i, the images of the subsets of {0..i}
+        for e in label:
+            table += [a | 1 << e for a in table]
+        pi = tuple(index.get(table[p]) for p in index)
         if None not in pi:
-            found.append((tuple(sigma), tuple(pi)))
+            found.append((table, pi))
     return found
 
 
 def _unit_orbits(
     units: list[tuple[int, ...]],
     n: int,
-    symmetries: list[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> list[list[tuple[int, tuple[int, ...]]]]:
+    symmetries: list[tuple[list[int], tuple[int, ...]]],
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
     """Group the pair-member units into orbits under the relabelings.
 
     units[u][k] is the member of pair k in unit u. Each orbit is walked
-    breadth first from its first unit in list order, and lists (u, sigma)
-    with sigma mapping that first unit onto unit u: the member of pair
-    pi[k] in unit u is sigma applied to the member of pair k.
+    breadth first from its first unit in list order and yielded as soon
+    as it is closed, as that unit and one table per unit of the orbit,
+    the identity first, mapping the first unit onto that unit.
     """
-    where = {bs: u for u, bs in enumerate(units)}
     placed = set()
-    orbits = []
-    for first in range(len(units)):
+    for first in units:
         if first in placed:
             continue
         placed.add(first)
-        orbit = [(first, tuple(range(n)))]
-        for u, sigma in orbit:  # the loop reaches the units appended below
+        orbit = [(first, list(range(1 << n)))]
+        for bs, table in orbit:  # the loop reaches the units appended below
             for g, pi in symmetries:
-                moved = [0] * len(pi)
-                for k, b in enumerate(units[u]):
-                    moved[pi[k]] = sum(1 << g[e] for e in range(n) if b >> e & 1)
-                w = where[tuple(moved)]
-                if w not in placed:
-                    placed.add(w)
-                    orbit.append((w, tuple(g[e] for e in sigma)))
-        orbits.append(orbit)
-    return orbits
+                # g sends the member of pair k to pair pi[k], and pi is an involution
+                moved = tuple(g[bs[k]] for k in pi)
+                if moved not in placed:
+                    placed.add(moved)
+                    orbit.append((moved, [g[a] for a in table]))
+        yield first, [table for _, table in orbit]
 
 
 def _search_solutions(
     n: int, missing: tuple[tuple[int, int], ...]
-) -> Iterator[list[tuple[int, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
     """Choose the pair members, then orient the co-atom digraph under them.
 
-    Yields the solutions in groups, each as soon as it is relabeled: an
-    orbit representative's solution and its relabelings onto the rest of the
-    orbit, so a group's families are relabelings of one another. A solution
-    is the member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
+    Yields each solution found at an orbit representative with its
+    orbit's tables, the identity first (see _unit_orbits). A solution is
+    the member tuple (full, A_1, ..., A_n, B_1, ..., B_k) aligned with
     search._skeleton_images(n, missing): B_k belongs to the k-th missing
     pair and the full-set member is the full set itself. Each complete
     choice of pair members is one unit of work. A relabeling that maps the
     set of missing pairs onto itself maps every constraint of a unit onto
     those of its image, and so the unit's solutions one to one onto the
-    image's. The units are grouped into orbits under such relabelings (see
-    _unit_orbits); only the first unit of each orbit is oriented, and its
-    solutions are relabeled onto the rest of the orbit. Orbits come in the
-    order the walk reaches their first units. Within a unit each free pair
-    takes one of three choices: low beats high, high beats low, or both.
+    image's; it also maps the skeleton's images onto themselves, so each
+    table carries a solution's (member, image) pairs onto a certificate
+    of the relabeled family onto the same skeleton. Only the first unit of
+    each orbit is oriented, as soon as the orbit is closed, and orbits come
+    in the order of their first units. Within a unit each free pair takes
+    one of three choices: low beats high, high beats low, or both.
     """
     full = (1 << n) - 1
     m = n + 1 + len(missing)
@@ -165,7 +168,7 @@ def _search_solutions(
     slack = n * cap - sum(base_load) - len(ordered)
     if slack < 0 or max(base_load) > cap:
         return
-    units: list[tuple[tuple[int, ...], list[int], int]] = []
+    units: list[tuple[int, ...]] = []
     by_size = sorted(range(1, 1 << n), key=lambda b: (b.bit_count(), b))
 
     def choose(chosen: tuple[int, ...], left: int, load: list[int]) -> None:
@@ -173,7 +176,7 @@ def _search_solutions(
         the slack left; load[v] is outdeg(v) plus the members holding v."""
         k = len(chosen)
         if k == len(pmasks):
-            units.append((chosen, load, left))
+            units.append(chosen)
             return
         pm = pmasks[k]
         for b in by_size:
@@ -207,18 +210,10 @@ def _search_solutions(
             a_in[i] ^= win_j << j
 
     choose((), slack, base_load)
-    orbits = _unit_orbits([bs for bs, _, _ in units], n, _pair_symmetries(n, miss0))
-    for orbit in orbits:
-        bs, load, spare = units[orbit[0][0]]
+    for bs, tables in _unit_orbits(units, n, _pair_symmetries(n, miss0)):
+        load = [d + sum(b >> v & 1 for b in bs) for v, d in enumerate(base_load)]
         checks = [[(v, pmasks[k]) for v, k in c if not bs[k] >> v & 1] for c in check_after]
         found: list[tuple[int, ...]] = []
-        orient(0, spare)
-        # A'[sigma(v)] = sigma(A_v), with table[a] = sigma(a) for every a
-        moves = []
-        for u, sigma in orbit:
-            table = [0]
-            for e in sigma:
-                table += [x | 1 << e for x in table]
-            moves.append((table, sorted(range(n), key=sigma.__getitem__), units[u][0]))
+        orient(0, slack - sum(b.bit_count() for b in bs))
         for a in found:
-            yield [(full, *[table[a[v]] for v in inverse], *b) for table, inverse, b in moves]
+            yield (full, *a, *bs), tables

@@ -584,6 +584,26 @@ def test_search_refuses_beyond_the_solution_budget(monkeypatch, capsys):
         search_counterexamples(SearchShape(8, ((1, 2), (3, 4))))
 
 
+def test_search_refuses_when_its_keys_run_out_of_memory(monkeypatch, capsys):
+    # running out of memory while the keys are read is a refusal, like the
+    # budget above, and not an internal error (exit 4)
+    import unionclosed.skeleton
+
+    real = unionclosed.skeleton._search_solutions
+
+    def starved(n, missing):
+        yield next(real(n, missing))
+        raise MemoryError
+
+    monkeypatch.setattr(unionclosed.skeleton, "_search_solutions", starved)
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
+    with pytest.raises(ResourceLimitError):
+        search_counterexamples(SearchShape(8, ((1, 2), (3, 4))))
+
+
 def test_search_limit_says_how_many_were_found(capsys):
     # the human listing counts what was found and, when --limit cuts it
     # short, how many are listed; without a cut the line is unchanged

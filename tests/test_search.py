@@ -338,10 +338,24 @@ def test_relabeled_shape_finds_the_relabeled_families(pairs, perm):
 )
 def test_orbit_search_matches_the_unit_by_unit_oracle(n, pairs):
     pairs = SearchShape(n, pairs).missing_pairs
-    got = [s for group in _search_solutions(n, pairs) for s in group]
+    got = [s for group in relabeled_groups(n, pairs) for s in group]
     full = full_mask(n)
     want = [(full, *a, *b) for a, b in unit_by_unit_solutions(n, pairs)]
     assert sorted(got) == sorted(want)
+
+
+def relabeled_groups(n, pairs):
+    """Each representative's solution and its relabelings, as member
+    tuples aligned with the skeleton images: every (member, image) pair
+    goes through the table, and the members are put back in the order of
+    the images they now pair with."""
+    images = _skeleton_images(n, pairs)
+    position = {f: i for i, f in enumerate(images)}
+    for sol, tables in _search_solutions(n, pairs):
+        yield [
+            tuple(a for _, a in sorted((position[t[f]], t[a]) for a, f in zip(sol, images)))
+            for t in tables
+        ]
 
 
 GROUPED_SHAPES = [
@@ -357,7 +371,7 @@ GROUPED_SHAPES = [
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
 def test_solution_groups_share_one_canonical_key(n, pairs):
     shape = SearchShape(n, pairs)
-    groups = list(_search_solutions(n, shape.missing_pairs))
+    groups = list(relabeled_groups(n, shape.missing_pairs))
     for group in groups:
         keys = {_canonical_key(tuple(sorted(sol)), n) for sol in group}
         assert len(keys) == 1
@@ -376,11 +390,35 @@ def test_search_sorts_as_the_report_list(n, pairs):
     images = _skeleton_images(n, shape.missing_pairs)
     reports = [
         CounterexampleReport(Family(n, sol), Certificate(n, tuple(zip(sol, images))))
-        for group in _search_solutions(n, shape.missing_pairs)
+        for group in relabeled_groups(n, shape.missing_pairs)
         for sol in group
     ]
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
     assert search_counterexamples(shape) == reports
+
+
+@pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
+def test_orbit_tables_relabel_the_skeleton_onto_itself(n, pairs):
+    # a relabeling that maps the pair set onto itself maps the skeleton's
+    # images onto themselves, so it carries a certificate onto the
+    # skeleton to another one, whatever order the images take
+    pairs = SearchShape(n, pairs).missing_pairs
+    images = _skeleton_images(n, pairs)
+    size = 1 << n
+    singletons = sorted(1 << e for e in range(n))
+    last = None
+    for sol, tables in _search_solutions(n, pairs):
+        if tables is not last:  # the solutions of one orbit share its tables
+            last = tables
+            assert tables[0] == list(range(size))
+            for t in tables:
+                assert all(t[a | b] == t[a] | t[b] for a in range(size) for b in range(size))
+                assert sorted(t[s] for s in singletons) == singletons
+                assert sorted(t[f] for f in images) == sorted(images)
+        for t in tables:
+            moved = tuple((t[a], t[f]) for a, f in zip(sol, images))
+            family = Family(n, [a for a, _ in moved])
+            assert verify_certificate(family, Certificate(n, moved))
 
 
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
@@ -436,6 +474,11 @@ def _group_order(gens, n):
     return len(group)
 
 
+def _labels(table, n):
+    """The relabeling of each element that a subset table applies."""
+    return tuple(table[1 << e].bit_length() - 1 for e in range(n))
+
+
 def _pair_sets(n):
     edges = list(itertools.combinations(range(n), 2))
     for k in range(3):
@@ -452,7 +495,7 @@ def test_pair_symmetries_against_brute_force(n):
             s for s in itertools.permutations(range(n))
             if {frozenset(s[e] for e in p) for p in pairs} == as_set
         ]
-        found = _pair_symmetries(n, list(pairs))
+        found = [(_labels(t, n), pi) for t, pi in _pair_symmetries(n, list(pairs))]
         for sigma, pi in found:
             assert sigma in stabilizer
             for k, (i, j) in enumerate(pairs):
@@ -464,32 +507,34 @@ def test_pair_symmetries_against_brute_force(n):
             assert order == 2**k * math.factorial(k) * math.factorial(n - 2 * k)
         if disjoint or len(pairs) <= 2:
             assert order == len(stabilizer)
-    assert _group_order([s for s, _ in _pair_symmetries(6, [(0, 1), (2, 3)])], 6) == 16
+    assert _group_order([_labels(t, 6) for t, _ in _pair_symmetries(6, [(0, 1), (2, 3)])], 6) == 16
 
 
 def test_two_pair_units_form_two_orbits(monkeypatch):
     seen = []
 
     def spy(units, n, symmetries):
-        seen.append((units, _unit_orbits(units, n, symmetries)))
-        return seen[-1][1]
+        seen.append((units, list(_unit_orbits(units, n, symmetries))))
+        return iter(seen[-1][1])
 
     monkeypatch.setattr(unionclosed.skeleton, "_unit_orbits", spy)
     list(_search_solutions(8, TWO_PAIRS.missing_pairs))  # a generator runs when read
     (units, orbits), = seen
     assert len(units) == 20
-    assert sorted(len(orbit) for orbit in orbits) == [4, 16]
-    assert sorted(u for orbit in orbits for u, _ in orbit) == list(range(20))
-    # each recorded relabeling maps the orbit's first unit onto the unit
+    assert sorted(len(tables) for _, tables in orbits) == [4, 16]
+    # each recorded relabeling maps the orbit's first unit onto a unit of
+    # its own, and the orbits reach every unit once
     pair_index = {frozenset(p): k for k, p in enumerate(((0, 1), (2, 3)))}
-    for orbit in orbits:
-        first = units[orbit[0][0]]
-        for u, sigma in orbit:
+    reached = []
+    for first, tables in orbits:
+        for table in tables:
+            sigma = _labels(table, 8)
             moved = [0, 0]
             for k, p in enumerate(((0, 1), (2, 3))):
                 image = pair_index[frozenset(sigma[e] for e in p)]
                 moved[image] = sum(1 << sigma[e] for e in range(8) if first[k] >> e & 1)
-            assert tuple(moved) == units[u]
+            reached.append(units.index(tuple(moved)))
+    assert sorted(reached) == list(range(20))
 
 
 def test_canonical_key_separates_every_orbit_on_ground_three():
