@@ -20,12 +20,14 @@ reports.
 The small-ground sweep runs in one process and goes filter by filter
 instead of deciding each of the 2**(2**n) families: it builds every
 nonempty filter over [n] as its code from the up-sets over one element
-fewer, places one member below each image with pairwise disjoint
-intervals, and marks the family each completed placement builds. A
-member whose interval holds another image of the filter is never a
-candidate, and that cut alone decides the full set's member, so the
-last level marks families in a flat loop with no clash test. The marked
-families are exactly those that admit a certificate.
+fewer and holds one list of partial placements, one member below each
+image so far with pairwise disjoint intervals. The list grows image by
+image, smallest image first, and each placement the last image
+completes marks the family it builds. A member whose interval holds
+another image of the filter is never a candidate, and that cut alone
+decides the full set's member, so the last level marks families in a
+flat loop with no clash test. The marked families are exactly those
+that admit a certificate.
 Each family is handled as its code, the 2**n-bit int with bit a set for
 each member a, and the half-element verdict is taken on that code; only
 violations become Family objects.
@@ -349,13 +351,16 @@ def _certified_codes(n: int) -> bytearray:
     filter.
 
     Each filter comes as its code, held, whose set bits are its images.
-    One member a below each image f is placed, keeping [a, f] only if it
-    misses every interval placed so far. Intervals are the lattice
-    bitmasks over the 2**n subsets from certificates._cubes, the format
-    find_certificate decides on, so held is also the image set that an
-    interval is tested against. The images are placed in ascending mask
-    order: small images have few members below them, so placing them
-    first keeps the tree narrow near its root.
+    The partial placements of a filter are one list of pairs (code,
+    covered): bit a of code is set for each member a placed so far, and
+    covered is the union of their intervals. The list starts as the empty
+    placement and is extended one image f at a time: each placement by
+    each candidate a below f whose interval [a, f] misses covered.
+    Intervals are the lattice bitmasks over the 2**n subsets from
+    certificates._cubes, the format find_certificate decides on, so held
+    is also the image set that an interval is tested against. The images
+    are placed in ascending mask order: small images have few members
+    below them, so placing them first keeps the early lists short.
 
     Each filter first drops every candidate a whose interval [a, f] holds
     another image g: [a, f] would meet [b, g] at g whatever b is, so no
@@ -364,9 +369,9 @@ def _certified_codes(n: int) -> bytearray:
     set, the cut is exact: [a, [n]] meets [b, g] iff a lies within g,
     whatever b is. So every surviving full-set candidate fits every
     placement of the other images, and the last level is a flat loop
-    with no clash test that marks each family directly: marks[code] is 1
-    for each completed placement, where bit a of code is set for each
-    placed member a.
+    with no clash test that marks each family directly: marks[code | bit]
+    is 1 for each placement of the other images and each full-set
+    candidate's bit.
     """
     size = 1 << n
     up, down = _cubes(n)
@@ -375,26 +380,19 @@ def _certified_codes(n: int) -> bytearray:
         [(1 << a, up[a] & down[f]) for a in range(size) if a | f == f] for f in range(size)
     ]
     marks = bytearray(1 << size)
-
-    def place(k: int, code: int, covered: int) -> None:
-        if k == last:
-            for bit in tops:
-                marks[code | bit] = 1
-            return
-        for bit, iv in lists[k]:
-            if not iv & covered:
-                place(k + 1, code | bit, covered | iv)
-
-    # place reads the current filter's candidates from lists, tops and last
     for held in _filters(n):
         *lists, top = [
             [c for c in below[f] if c[1] & held == 1 << f]
             for f in range(size)
             if held >> f & 1
         ]
-        last = len(lists)
-        tops = [bit for bit, _ in top]
-        place(0, 0, 0)
+        placed = [(0, 0)]
+        for cands in lists:
+            placed = [(code | bit, covered | iv) for code, covered in placed
+                      for bit, iv in cands if not iv & covered]
+        for code, _ in placed:
+            for bit, _ in top:
+                marks[code | bit] = 1
     return marks
 
 

@@ -54,16 +54,18 @@ def _pair_symmetries(
 
     Returns (table, pi) with table[a] the relabeled subset mask a and pair
     k sent onto pair pi[k]. The candidates are every transposition and,
-    for any two disjoint pairs {a, b} and {c, d}, the swap (a c)(b d);
-    only those that map each pair onto a pair are kept. Each is its own
-    inverse, and so is its pi. For disjoint pairs they generate the whole
-    stabilizer, (S_2 wr S_k) x S_(n-2k); for other pair sets they may
-    generate less of it.
+    for any two disjoint pairs {a, b} and {c, d}, the swaps (a c)(b d)
+    and (a d)(b c); only those that map each pair onto a pair are kept.
+    Each is its own inverse, and so is its pi. For disjoint pairs they
+    generate the whole stabilizer, (S_2 wr S_k) x S_(n-2k), and for every
+    set of at most three pairs the whole stabilizer too: the second swap
+    gives the reflection (1 4)(2 3) of the path 1,2:2,3:3,4. For larger
+    pair sets they may generate less of it.
     """
     index = {(1 << i) | (1 << j): k for k, (i, j) in enumerate(pairs)}
     swaps = [((a, b),) for a, b in combinations(range(n), 2)]
-    swaps += [((a, c), (b, d)) for (a, b), (c, d) in combinations(pairs, 2)
-              if len({a, b, c, d}) == 4]
+    swaps += [swap for (a, b), (c, d) in combinations(pairs, 2) if len({a, b, c, d}) == 4
+              for swap in (((a, c), (b, d)), ((a, d), (b, c)))]
     found = []
     for cycles in swaps:
         label = list(range(n))

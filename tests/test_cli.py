@@ -620,6 +620,22 @@ def test_search_limit_says_how_many_were_found(capsys):
         assert sum(text.startswith("counterexample ") for text in out) == listed
 
 
+@pytest.mark.parametrize(
+    ("extra", "size"),
+    [
+        pytest.param(["--json"], 1168016, id="json"),
+        pytest.param([], 200561, id="human"),
+        pytest.param(["--limit", "3", "--canonical"], 517, id="limit-canonical"),
+    ],
+)
+def test_search_closing_note_counts_the_bytes_written(extra, size, capsys):
+    assert main(["search", *TWO_PAIRS_8, *extra]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.encode()) == size
+    note = captured.err.splitlines()[-1]
+    assert note.startswith(f"1344 report(s) built and verified, {size} bytes written in ")
+
+
 def test_search_rejects_zero_workers(capsys):
     assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--workers", "0"]) == 2
 
