@@ -13,7 +13,8 @@ DECISION_CAP it accepts on the lattice bitmasks described below; a
 failing certificate, and any above the cap, is checked clause by clause
 with pairwise interval tests. The searcher decides existence
 exhaustively for ground sizes up to DECISION_CAP, by a depth-first
-search on an explicit stack that takes the members smallest first. Each
+search over a flat stack of candidate indices, members smallest first,
+that takes a retried interval back out of the covered sets by XOR. Each
 cube [A, F_A] is a bitmask over the 2**n subsets (the lattice tables of
 _cubes), so one clash test against the sets covered so far catches both
 interval overlaps and repeated images. Before the search it drops every
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .family import (
     Family,
@@ -43,8 +44,8 @@ from .family import (
 )
 
 # Exhaustive decision is exponential in the worst case. At 12 the lattice
-# has 4096 sets, and _cubes holds two 4096-entry tables of 4096-bit ints,
-# about 4 MB.
+# has 4096 sets; _cubes(12) holds 3.6 MB: up[] 2.3 MB (4096-bit ints),
+# down[] 1.2 MB.
 DECISION_CAP = 12
 
 
@@ -236,70 +237,69 @@ def find_certificate(fam: Family) -> Certificate | None:
     candidate images for a member run from the member itself upward.
     Two kinds of image are dropped before the search: those too small to
     head an m-set filter, and those whose cube [A, F] holds another
-    member B, which would meet [B, F_B] at B whatever F_B is. The state
-    of a branch is two lattice bitmasks: the sets covered by the
-    intervals assigned so far and the up-closure of their images. A
-    branch dies as soon as a chosen interval meets a covered set (a
+    member B, which would meet [B, F_B] at B whatever F_B is. A branch
+    dies as soon as its interval meets the sets covered so far (a
     repeated image always does, since f lies in both intervals) or the
-    up-closure grows past the family size. The depth-first search runs
-    on an explicit stack, so the member count sets no recursion limit,
-    and backtracking only drops a level. All orders are fixed, so the
-    outcome and the returned witness are deterministic.
-    None means a proof of nonexistence, not a giving-up.
+    up-closure of the images grows past the family size. The search is
+    depth-first on a flat stack, so the member count sets no recursion
+    limit: per member, the next candidate index and the up-closure of
+    the images before it, which cannot be undone. The one covered mask
+    is undone by XOR on backtrack, exact as the chosen intervals are
+    disjoint. All orders are fixed, so the outcome and the witness are
+    deterministic. None means a proof of nonexistence, not a giving-up;
+    running out of memory is refused (ResourceLimitError).
     """
     n = fam.ground_size
     if n > DECISION_CAP:
         raise ResourceLimitError(
             f"certificate decision is exhaustive only up to ground size {DECISION_CAP}"
         )
-    up, down = _cubes(n)
-    members = sorted(fam.members, key=lambda a: (a.bit_count(), a))
-    m = len(members)
-    member_bits = sum(1 << a for a in members)
-    # An image with more than m supersets can never sit inside an m-set
-    # filter, so candidates below that size are dead from the start. So
-    # is an image whose cube holds another member b: that cube always
-    # meets [b, F_b] at b. The rest run smallest first.
-    min_size = max(0, n - (m.bit_length() - 1))
-    cand = []
-    for a in members:
-        above = (up[a] & member_bits) ^ 1 << a
-        keep = [
-            f
-            for f in iter_supersets(a, n)
-            if f.bit_count() >= min_size and not down[f] & above
-        ]
-        cand.append(sorted(keep, key=lambda f: (f.bit_count(), f)))
-
-    def live(k: int, covered: int, closure: int) -> Iterator[tuple[int, int, int]]:
-        """Each image members[k] can take, with the state it leaves."""
-        above_a = up[members[k]]
-        for f in cand[k]:
-            iv = above_a & down[f]
-            if iv & covered:
+    try:
+        up, down = _cubes(n)
+        members = sorted(fam.members, key=lambda a: (a.bit_count(), a))
+        m = len(members)
+        member_bits = sum(1 << a for a in members)
+        # An image with more than m supersets can never sit inside an m-set
+        # filter, so candidates below that size are dead from the start. So
+        # is an image whose cube holds another member b: that cube always
+        # meets [b, F_b] at b. The rest run smallest first.
+        min_size = max(0, n - (m.bit_length() - 1))
+        cand = []
+        for a in members:
+            above = (up[a] & member_bits) ^ 1 << a
+            keep = [
+                f
+                for f in iter_supersets(a, n)
+                if f.bit_count() >= min_size and not down[f] & above
+            ]
+            cand.append(sorted(keep, key=lambda f: (f.bit_count(), f)))
+        # members[k] takes cand[k][pos[k] - 1]; closure[k] closes the
+        # images of members[:k].
+        pos, closure = [0] * m, [0] * (m + 1)
+        covered = k = 0
+        while k < m:
+            above_a, fs, base = up[members[k]], cand[k], closure[k]
+            for i in range(pos[k], len(fs)):
+                iv = above_a & down[fs[i]]
+                if not iv & covered:
+                    grown = base | up[fs[i]]
+                    if grown.bit_count() <= m:
+                        break
+            else:
+                # This member has no image left: retry its predecessor.
+                if not k:
+                    return None
+                pos[k] = 0
+                k -= 1
+                covered ^= up[members[k]] & down[cand[k][pos[k] - 1]]
                 continue
-            grown = closure | up[f]
-            if grown.bit_count() <= m:
-                yield f, covered | iv, grown
-
-    # chosen[k] is the image of members[k] with the state it leaves.
-    chosen: list[tuple[int, int, int]] = []
-    levels: list[Iterator[tuple[int, int, int]]] = []
-    while len(chosen) < m:
-        if len(levels) == len(chosen):
-            _, covered, closure = chosen[-1] if chosen else (0, 0, 0)
-            levels.append(live(len(chosen), covered, closure))
-        step = next(levels[-1], None)
-        if step is None:
-            # This member has no image left: retry its predecessor.
-            levels.pop()
-            if not chosen:
-                return None
-            chosen.pop()
-            continue
-        chosen.append(step)
-    # The closure prune bounds |closure| by m and distinct images force
-    # |closure| >= m, so the images are exactly their own up-closure.
-    assert (chosen[-1][2] if chosen else 0).bit_count() == m
-    return Certificate(n, tuple((a, f) for a, (f, _, _) in zip(members, chosen)))
-
+            pos[k] = i + 1
+            covered |= iv
+            closure[k + 1] = grown
+            k += 1
+        # The closure prune bounds |closure| by m and distinct images force
+        # |closure| >= m, so the images are exactly their own up-closure.
+        assert closure[m].bit_count() == m
+        return Certificate(n, tuple((a, c[p - 1]) for a, c, p in zip(members, cand, pos)))
+    except MemoryError:
+        raise ResourceLimitError("certificate decision ran out of memory") from None

@@ -10,13 +10,14 @@ Subcommands:
 
 Exit codes: 0 for success or an affirmative answer, 1 for a legitimate
 negative answer, 2 for usage or data errors, 3 for refused resource
-guards, 4 for an internal error (a fault of this program, never a
-verdict), 141 (128 + SIGPIPE) when the reader of stdout closes it before
-the output is written. In --json mode each command prints exactly one
-JSON document on stdout; timing notes go to stderr so identical inputs
-give identical stdout bytes. `search` builds, verifies and writes its
-reports one at a time, from per-mask text; with --json its bytes equal
-json.dumps(..., sort_keys=True) of the reports' to_dict. Its stdout is
+guards (running out of memory in a search or a decision included), 4 for
+an internal error (a fault of this program, never a verdict), 141 (128 +
+SIGPIPE) when the reader of stdout closes it before the output is
+written. In --json mode each command prints exactly one JSON document on
+stdout; timing notes go to stderr so identical inputs give identical
+stdout bytes. `search` builds, verifies and writes its reports one at a
+time; it and `certify` write certificates from per-mask text, with the
+bytes of json.dumps(..., sort_keys=True) of to_dict. Search stdout is
 cut short only with exit 141 or with exit 4, when a report of the
 program's own fails re-verification. The search runs in one process;
 `search --workers N` is accepted and checked (N >= 1) but changes
@@ -56,7 +57,7 @@ from .family import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterator
 
     from .search import CounterexampleReport, SearchShape
 
@@ -204,16 +205,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         return 1
     cert = find_certificate(fam)
     if cert is None:
-        _emit(
-            args,
-            {"status": "none"},
-            ["no certificate exists (exhaustive decision)"],
-        )
+        _emit(args, {"status": "none"}, ["no certificate exists (exhaustive decision)"])
         return 1
-    lines = ["certificate: found"]
-    if not args.json:
-        lines += _certificate_lines(cert)
-    _emit(args, {"status": "found", "certificate": cert.to_dict()}, lines)
+    if args.json:
+        print(f'{{"certificate": {_json_texts()[1](cert)}, "status": "found"}}')
+    else:
+        print("certificate: found", *_certificate_lines(cert), sep="\n")
     return 0
 
 
@@ -234,26 +231,29 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _json_texts() -> tuple[Callable[[int], str], Callable[[Certificate], str]]:
+    """Encoders with the text of json.dumps(..., sort_keys=True) of a mask's
+    elements and of a certificate's to_dict; each mask and pair is encoded once."""
+    text = cache(lambda m: json.dumps(list(elements_of(m))))
+    pair = cache(lambda a, f: f'{{"image": {text(f)}, "set": {text(a)}}}')
+    return text, lambda c: (
+        f'{{"ground": {c.ground_size}, "pairs": [{", ".join(starmap(pair, c.pairs))}]}}'
+    )
+
+
 def _search_json(
     shape: SearchShape, count: int, reports: Iterator[CounterexampleReport]
 ) -> Iterator[str]:
-    """The search document in pieces whose concatenation is
-    json.dumps(payload, sort_keys=True) of {"shape", "count", "reports":
-    [r.to_dict() ...]} over the count reports. Each mask and each (member,
-    image) pair is encoded the first time it is met and each report is
-    joined from those texts into one piece, taken from the iterator once
-    the piece before it is out.
-    """
-    text = cache(lambda m: json.dumps(list(elements_of(m))))
-    pair = cache(lambda a, f: f'{{"image": {text(f)}, "set": {text(a)}}}')
+    """json.dumps(payload, sort_keys=True) of {"shape", "count", "reports":
+    [r.to_dict() ...]} over the count reports in pieces, one per report,
+    each taken from the iterator once the piece before it is out."""
+    text, certificate = _json_texts()
     yield f'{{"count": {count}, "reports": ['
     sep = ""
     for r in reports:
-        cert = r.certificate
-        pairs = ", ".join(starmap(pair, cert.pairs))
         sets = ", ".join(map(text, r.family))
         yield (
-            f'{sep}{{"certificate": {{"ground": {cert.ground_size}, "pairs": [{pairs}]}},'
+            f'{sep}{{"certificate": {certificate(r.certificate)},'
             f' "family": {{"ground": {r.family.ground_size}, "sets": [{sets}]}},'
             f' "frequency": [{", ".join(map(str, r.frequency))}],'
             f' "max_frequency": {r.max_frequency}}}'

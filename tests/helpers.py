@@ -3,18 +3,21 @@
 Everything here works on frozensets of 1-based elements with naive
 enumeration and deliberately shares no code with the bitmask modules
 under test, so agreement between the two is evidence rather than a
-restatement of the implementation. Three frozen copies are the
+restatement of the implementation. Four frozen copies are the
 exceptions, each kept as the oracle for a later shortcut:
 unit_by_unit_solutions, the two-pair search without its symmetry
 reduction; reference_verify_certificate, the clause-by-clause
-verification without the lattice accept path; and dedupe_canonical, the
-canonical dedup with one key per report instead of one per group.
+verification without the lattice accept path; reference_find_certificate,
+the certificate decision on a stack of per-member candidate generators
+instead of a flat index stack; and dedupe_canonical, the canonical dedup
+with one key per report instead of one per group.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Iterator
 
 from unionclosed import (
     Certificate,
@@ -23,7 +26,9 @@ from unionclosed import (
     elements_of,
     format_set,
     is_filter,
+    iter_supersets,
 )
+from unionclosed.certificates import _cubes
 from unionclosed.search import _canonical_key
 
 
@@ -319,6 +324,54 @@ def reference_verify_certificate(fam: Family, cert: Certificate) -> CertificateV
                 )
     assert sum(1 << (f.bit_count() - a.bit_count()) for a, f in ps) <= 1 << cert.ground_size
     return CertificateVerdict(True, None, None)
+
+
+def reference_find_certificate(fam: Family) -> Certificate | None:
+    """find_certificate as it stood before its flat index stack: the same
+    candidates in the same order, searched depth first on a stack of
+    suspended generators, one per member, each yielding an image with
+    the covered sets and the up-closure it leaves."""
+    n = fam.ground_size
+    up, down = _cubes(n)
+    members = sorted(fam.members, key=lambda a: (a.bit_count(), a))
+    m = len(members)
+    member_bits = sum(1 << a for a in members)
+    min_size = max(0, n - (m.bit_length() - 1))
+    cand = []
+    for a in members:
+        above = (up[a] & member_bits) ^ 1 << a
+        keep = [
+            f
+            for f in iter_supersets(a, n)
+            if f.bit_count() >= min_size and not down[f] & above
+        ]
+        cand.append(sorted(keep, key=lambda f: (f.bit_count(), f)))
+
+    def live(k: int, covered: int, closure: int) -> Iterator[tuple[int, int, int]]:
+        above_a = up[members[k]]
+        for f in cand[k]:
+            iv = above_a & down[f]
+            if iv & covered:
+                continue
+            grown = closure | up[f]
+            if grown.bit_count() <= m:
+                yield f, covered | iv, grown
+
+    chosen: list[tuple[int, int, int]] = []
+    levels: list[Iterator[tuple[int, int, int]]] = []
+    while len(chosen) < m:
+        if len(levels) == len(chosen):
+            _, covered, closure = chosen[-1] if chosen else (0, 0, 0)
+            levels.append(live(len(chosen), covered, closure))
+        step = next(levels[-1], None)
+        if step is None:
+            levels.pop()
+            if not chosen:
+                return None
+            chosen.pop()
+            continue
+        chosen.append(step)
+    return Certificate(n, tuple((a, f) for a, (f, _, _) in zip(members, chosen)))
 
 
 def naive_verdict(members, pairs, n: int) -> tuple[bool, str | None]:

@@ -4,12 +4,14 @@ verification, and the exhaustive decision search.
 The predicate is checked against a materializing oracle over [3] here
 (the [4] exhaustive pass lives in the acceptance suite), and the
 decision search is cross-checked against the filter-and-bijection brute
-force over [2] and on random families over [4], and against Reimer's
-theorems on seeded families over [8]..[10].
+force over [2] and on random families over [4], against Reimer's
+theorems on seeded families over [8]..[10], and against the
+generator-stack decision it replaced (helpers.reference_find_certificate).
 """
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,7 @@ from helpers import (
     brute_certificate_exists,
     interval,
     naive_verdict,
+    reference_find_certificate,
     reference_verify_certificate,
     relabel,
 )
@@ -452,7 +455,8 @@ def test_find_certifies_the_minimal_family_under_relabeling():
         assert_certifies(Family(n, relabel(fam.members, n, perm)))
 
 
-def test_find_certifies_seeded_union_closed_families():
+def seeded_union_closed():
+    """Ten seeded union-closed families of 15 to 25 members over [8]..[10]."""
     rng = random.Random(0)
     done = 0
     while done < 10:
@@ -463,13 +467,13 @@ def test_find_certifies_seeded_union_closed_families():
             members |= {g} | {g | a for a in members}
         if len(members) > 25:
             continue
-        fam = Family(n, tuple(sorted(members)))
-        assert is_union_closed(fam)
-        assert_certifies(fam)
+        yield Family(n, tuple(sorted(members)))
         done += 1
 
 
-def test_find_refuses_seeded_families_below_the_size_bound():
+def seeded_below_bound():
+    """25 seeded families of 10 to 14 small sets over [8]..[10] that fail
+    the average-size bound."""
     rng = random.Random(0)
     done = 0
     while done < 25:
@@ -478,8 +482,19 @@ def test_find_refuses_seeded_families_below_the_size_bound():
         fam = Family(n, tuple(sorted(rng.sample(small, rng.randint(10, 14)))))
         if reimer_bound_holds(fam):
             continue
-        assert find_certificate(fam) is None
+        yield fam
         done += 1
+
+
+def test_find_certifies_seeded_union_closed_families():
+    for fam in seeded_union_closed():
+        assert is_union_closed(fam)
+        assert_certifies(fam)
+
+
+def test_find_refuses_seeded_families_below_the_size_bound():
+    for fam in seeded_below_bound():
+        assert find_certificate(fam) is None
 
 
 def test_found_certificates_respect_the_volume_bound_over_3():
@@ -498,3 +513,55 @@ def test_found_certificates_respect_the_volume_bound_over_3():
 def test_find_refuses_oversized_ground():
     with pytest.raises(ResourceLimitError):
         find_certificate(Family(13, ()))
+
+
+# The flat index stack must decide exactly as the generator stack it
+# replaced: the same certificate, or None, on every family.
+
+
+def assert_same_decision(fam):
+    assert find_certificate(fam) == reference_find_certificate(fam)
+
+
+def test_find_matches_the_generator_stack_on_every_family_up_to_3():
+    for n in range(4):
+        size = 1 << n
+        for code in range(1 << size):
+            assert_same_decision(Family(n, tuple(i for i in range(size) if code >> i & 1)))
+
+
+@st.composite
+def small_families(draw):
+    n = draw(st.integers(4, 6))
+    masks = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
+    return Family(n, tuple(sorted(masks)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(small_families())
+def test_find_matches_the_generator_stack_over_4_to_6(fam):
+    assert_same_decision(fam)
+
+
+def test_find_matches_the_generator_stack_on_seeded_families():
+    for fam in itertools.chain(seeded_union_closed(), seeded_below_bound()):
+        assert_same_decision(fam)
+
+
+def test_find_matches_the_generator_stack_on_power_sets_up_to_10():
+    for n in range(11):
+        assert_same_decision(Family(n, tuple(range(1 << n))))
+
+
+def test_find_traces_little_memory_on_the_power_set_of_10():
+    # one candidate index and one up-closure per member; the generator
+    # stack held a suspended frame and a state tuple per member, 1.1 MB
+    fam = Family(10, tuple(range(1 << 10)))
+    _cubes(10)
+    tracemalloc.start()
+    try:
+        find_certificate(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024

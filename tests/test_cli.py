@@ -8,6 +8,8 @@ numpy, checks of what start-up, a search and enumerate import, and one
 smoke test of the installed entry points.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -18,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import unionclosed
 from unionclosed import (
@@ -28,11 +31,13 @@ from unionclosed import (
     ReimerVerdict,
     ResourceLimitError,
     SearchShape,
+    find_certificate,
     format_set,
     minimal_counterexample,
     search_counterexamples,
     verify_certificate,
 )
+from unionclosed import certificates
 from unionclosed.cli import main
 from unionclosed.search import SweepSummary
 
@@ -266,6 +271,58 @@ def test_certify_power_set_never_claims_no_certificate(family_file, capsys):
     assert code == 0
     cert = Certificate.from_dict(json.loads(captured.out)["certificate"])
     assert verify_certificate(Family.from_dict({"ground": 10, "sets": sets}), cert)
+
+
+def assert_certify_json_is_the_sorted_dict_encoding(fam, path):
+    # certify writes its certificate from per-mask text; its bytes must be
+    # those of to_dict
+    path.write_text(json.dumps(fam.to_dict()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["certify", str(path), "--json"])
+    cert = find_certificate(fam)
+    payload = {"status": "none"}
+    if cert is not None:
+        payload = {"certificate": cert.to_dict(), "status": "found"}
+    assert code == int(cert is None)
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        *(Family(n, tuple(range(1 << n))) for n in range(6)),
+        Family(3, ()),
+        Family(3, (0,)),
+        minimal_counterexample().family,
+    ],
+    ids=[*(f"power_set_{n}" for n in range(6)), "empty", "empty_set", "minimal"],
+)
+def test_certify_json_is_the_sorted_dict_encoding(fam, tmp_path):
+    assert_certify_json_is_the_sorted_dict_encoding(fam, tmp_path / "f.json")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sets(st.integers(0, 15), max_size=12))
+def test_certify_json_is_the_sorted_dict_encoding_over_4(tmp_path_factory, masks):
+    fam = Family(4, tuple(sorted(masks)))
+    path = tmp_path_factory.getbasetemp() / "certify_over_4.json"
+    assert_certify_json_is_the_sorted_dict_encoding(fam, path)
+
+
+@pytest.mark.parametrize("command", ["certify", "check"])
+def test_decision_out_of_memory_is_refused(command, minimal_files, monkeypatch, capsys):
+    # running out of memory in a certificate decision is a refusal (exit
+    # 3), as in the search, and not an internal error (exit 4)
+    def starved(n):
+        raise MemoryError
+
+    monkeypatch.setattr(certificates, "_cubes", starved)
+    fam, _ = minimal_files
+    assert main([command, fam, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused:")
 
 
 # ---------------------------------------------------------------- search
