@@ -34,6 +34,7 @@ import sys
 import time
 from functools import cache
 from itertools import chain, islice, starmap
+from math import gcd
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -59,6 +60,7 @@ from .family import (
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterator
 
+    from .family import ReimerVerdict
     from .search import CounterexampleReport, SearchShape
 
 
@@ -93,7 +95,7 @@ def _certificate_lines(cert: Certificate) -> list[str]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     fam = Family.from_dict(_load_data(args.family))
-    payload: dict = {"family": fam.to_dict()}
+    payload: dict = {}
     lines = [f"family: {len(fam)} sets over ground size {fam.ground_size}"]
 
     uc = is_union_closed(fam)
@@ -156,26 +158,27 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines.append("average-size bound: out of scope for the empty family")
     else:
         re = reimer_bound_holds(fam)
+        ratio, average = _average(re)
         payload["average_size_bound"] = {
             "status": "checked",
             "holds": re.holds,
-            "average": str(re.average),
+            "average": ratio,
             "threshold": re.threshold,
         }
         word = "holds" if re.holds else "fails"
         lines.append(
             f"average-size bound: {word}"
-            f" (average {re.average} = {float(re.average):.3f},"
+            f" (average {ratio} = {average:.3f},"
             f" threshold log2({len(fam)})/2 = {re.threshold:.3f})"
         )
 
+    cert = None
     if fam.ground_size <= DECISION_CAP:
         cert = find_certificate(fam)
         if cert is None:
             payload["certificate"] = {"status": "none"}
             lines.append("interval certificate: none (exhaustive decision)")
         else:
-            payload["certificate"] = {"status": "found", "certificate": cert.to_dict()}
             lines.append("interval certificate: found")
             if not args.json:
                 lines.extend(_certificate_lines(cert))
@@ -185,7 +188,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"interval certificate: skipped (decision supported up to ground size {DECISION_CAP})"
         )
 
-    _emit(args, payload, lines)
+    if not args.json:
+        _emit(args, payload, lines)
+        return 0
+    # The family and the certificate go through the per-mask encoders, as in
+    # certify and search: json.dumps of their to_dict runs out of memory
+    # first on the power set of [12].
+    family, certificate = _json_texts()
+    fields = {key: json.dumps(value, sort_keys=True) for key, value in payload.items()}
+    fields["family"] = family(fam)
+    if cert is not None:
+        fields["certificate"] = _found_json(certificate(cert))
+    print("{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}")
     return 0
 
 
@@ -208,7 +222,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         _emit(args, {"status": "none"}, ["no certificate exists (exhaustive decision)"])
         return 1
     if args.json:
-        print(f'{{"certificate": {_json_texts()[1](cert)}, "status": "found"}}')
+        print(_found_json(_json_texts()[1](cert)))
     else:
         print("certificate: found", *_certificate_lines(cert), sep="\n")
     return 0
@@ -231,14 +245,30 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _json_texts() -> tuple[Callable[[int], str], Callable[[Certificate], str]]:
-    """Encoders with the text of json.dumps(..., sort_keys=True) of a mask's
-    elements and of a certificate's to_dict; each mask and pair is encoded once."""
+def _json_texts() -> tuple[Callable[[Family], str], Callable[[Certificate], str]]:
+    """Encoders with the text of json.dumps(..., sort_keys=True) of a
+    family's and of a certificate's to_dict; each mask and pair is encoded
+    once."""
     text = cache(lambda m: json.dumps(list(elements_of(m))))
     pair = cache(lambda a, f: f'{{"image": {text(f)}, "set": {text(a)}}}')
-    return text, lambda c: (
-        f'{{"ground": {c.ground_size}, "pairs": [{", ".join(starmap(pair, c.pairs))}]}}'
+    return (
+        lambda fam: f'{{"ground": {fam.ground_size}, "sets": [{", ".join(map(text, fam))}]}}',
+        lambda c: f'{{"ground": {c.ground_size}, "pairs": [{", ".join(starmap(pair, c.pairs))}]}}',
     )
+
+
+def _found_json(certificate: str) -> str:
+    """The found-certificate payload of certify and check, given the
+    certificate's text."""
+    return f'{{"certificate": {certificate}, "status": "found"}}'
+
+
+def _average(re: ReimerVerdict) -> tuple[str, float]:
+    """The average member size as str and float of re.average give it,
+    without fractions: the reduced ratio p/q, or p when q is 1."""
+    d = gcd(re.total, re.member_count)
+    p, q = re.total // d, re.member_count // d
+    return f"{p}/{q}" if q != 1 else str(p), re.total / re.member_count
 
 
 def _search_json(
@@ -247,14 +277,13 @@ def _search_json(
     """json.dumps(payload, sort_keys=True) of {"shape", "count", "reports":
     [r.to_dict() ...]} over the count reports in pieces, one per report,
     each taken from the iterator once the piece before it is out."""
-    text, certificate = _json_texts()
+    family, certificate = _json_texts()
     yield f'{{"count": {count}, "reports": ['
     sep = ""
     for r in reports:
-        sets = ", ".join(map(text, r.family))
         yield (
             f'{sep}{{"certificate": {certificate(r.certificate)},'
-            f' "family": {{"ground": {r.family.ground_size}, "sets": [{sets}]}},'
+            f' "family": {family(r.family)},'
             f' "frequency": [{", ".join(map(str, r.frequency))}],'
             f' "max_frequency": {r.max_frequency}}}'
         )
@@ -322,6 +351,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     cert = report.certificate
     fr = frankl_check(fam)
     re = reimer_bound_holds(fam)
+    ratio, average = _average(re)
     checks = len(cert) * (len(cert) - 1) // 2
     # The report's constructor has already refused an element in half the
     # members; a failed re-check is a fault of this program (exit 4).
@@ -332,7 +362,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},
         "average_size_bound": {
             "holds": re.holds,
-            "average": str(re.average),
+            "average": ratio,
             "threshold": re.threshold,
         },
         "pairwise_checks": checks,
@@ -344,7 +374,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         f"frequency vector: {report.frequency}",
         f"max frequency {report.max_frequency} of {len(fam)} members:"
         " no element reaches half, the half-element property fails",
-        f"average size {re.average} = {float(re.average):.3f},"
+        f"average size {ratio} = {average:.3f},"
         f" threshold log2({len(fam)})/2 = {re.threshold:.3f}: the size bound holds",
         f"certificate: valid ({checks} pairwise interval checks)",
     ]

@@ -228,11 +228,21 @@ class FranklVerdict(NamedTuple):
 
 class ReimerVerdict(NamedTuple):
     holds: bool
-    average: Fraction
+    total: int  # the member sizes summed
+    member_count: int
     threshold: float
 
     def __bool__(self) -> bool:
         return self.holds
+
+    @property
+    def average(self) -> Fraction:
+        """The exact average member size, total / member_count."""
+        # Imported here: fractions pulls in decimal, start-up and memory
+        # that no command spends to print the average.
+        from fractions import Fraction
+
+        return Fraction(self.total, self.member_count)
 
 
 def is_union_closed(fam: Family) -> UnionClosureVerdict:
@@ -298,15 +308,11 @@ def reimer_bound_holds(fam: Family) -> ReimerVerdict:
 
     With m members of total size T, the bound is equivalent to
     m**m <= 2**(2*T), which is decided in big integers. Floats appear
-    only in the reported threshold, never in the verdict.
+    only in the reported threshold, never in the verdict. The verdict
+    carries T and m; its average is their Fraction, built on request.
     """
     m = len(fam.members)
     if m == 0:
         raise ValueError("family must be nonempty")
     total = sum(x.bit_count() for x in fam.members)
-    holds = m**m <= 1 << (2 * total)
-    # Imported here: fractions pulls in decimal, a few milliseconds of
-    # start-up for every command that never asks for this bound.
-    from fractions import Fraction
-
-    return ReimerVerdict(holds, Fraction(total, m), log2(m) / 2)
+    return ReimerVerdict(m**m <= 1 << (2 * total), total, m, log2(m) / 2)

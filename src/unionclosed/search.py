@@ -8,11 +8,11 @@ states. The backtrack over it lives in skeleton.py, which only search
 loads. It yields each solution found at an orbit representative, a
 member tuple aligned with the images, with one relabeling table per
 unit of its orbit. Here each solution's (member, image) pairs are
-pushed through every table and held only as flat sort keys, one per
-relabeled solution; each report is built from its key, which re-runs the full
-verification, only when the caller reaches it. A shape whose keys would
-outgrow a fixed budget, or the memory left, is refused before any
-report is built. The demo family goes through the same builder.
+pushed through every table and held only as flat sort keys, one bytes
+object per relabeled solution; each report is built from its key, which
+re-runs the full verification, only when the caller reaches it. A shape
+whose keys would outgrow a fixed budget, or the memory left, is refused
+before any report is built. The demo family goes through the same builder.
 Canonical dedup filters that same stream: it keys each representative's
 solution once, keeps the least flat key of each orbit and lists those
 reports.
@@ -50,12 +50,13 @@ from .family import (
 )
 # The held sort keys, not the backtrack, bound the search: at 10 the orbit
 # backtrack yields all 38,486,400 families of 1,2:3,4 in about 22 s, but
-# their flat keys would hold about 10 GB and their reports take 15-28
+# their packed keys would hold about 3.7 GB and their reports take 15-28
 # minutes. SEARCH_CAP bounds the 2**n tables; _KEY_CAP refuses a shape once
 # its solutions pass what the keys can hold.
 SEARCH_CAP = 10
-# One flat key takes about 260 B at n = 9 (the 1,186,840 keys of 1,2:2,3:3,4
-# hold 313 MB by tracemalloc), so the budget stops near 1.1 GB of keys.
+# One packed key of 13 members takes about 96 B with its list slot (a tuple
+# of ints took about 260 B), so the budget stops near 0.4 GB of keys, down
+# from 1.1 GB.
 _KEY_CAP = 1 << 22
 # Canonical dedup tries every relabeling that keeps each element inside its
 # invariant cell; when all elements share one cell that is all n! of them.
@@ -274,15 +275,17 @@ def _search_reports(
     solution's report when it is reached and yields the listed ones.
 
     The backtrack is read once and only one flat key per solution is
-    held: its members sorted, then the images in member order. A table
-    that relabels a representative's (member, image) pairs gives another
-    solution's pairs, which sort to its key whatever order the images
-    took. Every key of a shape has the same length, so the keys sort as
-    their reports' (family.members, certificate.pairs). canonical keys
-    each representative's solution once, in the same pass, keeps the
-    least flat key of each orbit and lists only those reports; the others
-    are built all the same. Past _KEY_CAP solutions, or when the keys or
-    their sort run out of memory, the search is refused with
+    held: its members sorted, then the images in member order, packed by
+    skeleton._key_struct into one bytes object. A table that relabels a
+    representative's (member, image) pairs gives another solution's
+    pairs, which sort to its key whatever order the images took. Every
+    key of a shape has the same length and fixed-width big-endian fields,
+    so the keys sort as their reports' (family.members,
+    certificate.pairs); each is unpacked again when its report is built.
+    canonical keys each representative's solution once, in the same pass,
+    keeps the least flat key of each orbit and lists only those reports;
+    the others are built all the same. Past _KEY_CAP solutions, or when
+    the keys or their sort run out of memory, the search is refused with
     ResourceLimitError, before any report is built.
     """
     n = shape.ground_size
@@ -294,17 +297,19 @@ def _search_reports(
         raise ResourceLimitError(
             f"canonical dedup is supported only up to ground size {CANONICAL_CAP}"
         )
-    from .skeleton import _search_solutions
+    from .skeleton import _key_struct, _search_solutions
 
     images = _skeleton_images(n, shape.missing_pairs)
     m = len(images)
+    packer = _key_struct(n, m)
+    pack = packer.pack
     keys, least = [], {}
     try:
         for sol, tables in _search_solutions(n, shape.missing_pairs):
             pairs = list(zip(sol, images))
             for t in tables:
                 members, targets = zip(*sorted([(t[a], t[f]) for a, f in pairs]))
-                keys.append(members + targets)
+                keys.append(pack(*members, *targets))
             if canonical:
                 orbit, first = _canonical_key(sol, n), min(keys[-len(tables):])
                 least[orbit] = min(least.get(orbit, first), first)
@@ -316,7 +321,7 @@ def _search_reports(
     except MemoryError:
         keys.clear()
         raise ResourceLimitError("structured search ran out of memory for its solutions") from None
-    built = (_skeleton_report(n, key[:m], key[m:]) for key in keys)
+    built = (_skeleton_report(n, key[:m], key[m:]) for key in map(packer.unpack, keys))
     if not canonical:
         return len(keys), len(keys), built
     # compress drops an unlisted report at once, so at most the one the

@@ -36,15 +36,26 @@ module never needs the order the images take after a relabeling.
 It is a module of its own, loaded only by the search command, because
 Python compiles each module's source as a whole: demo and enumerate,
 which load search.py, never compile it, and two halves compiled one
-after the other peak lower than one file holding both.
+after the other peak lower than one file holding both. For the same
+reason it holds the struct packing of the search's sort keys, which
+only the search command needs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from struct import Struct
 from typing import Iterator
 
 from .family import mask_from_elements
+
+
+def _key_struct(n: int, m: int) -> Struct:
+    """The packing of one search key of m members and m images over
+    {1..n}: 2*m big-endian unsigned fields, of 1 byte for n <= 8 and of
+    2 bytes above, so the packed keys of one shape have one length and
+    sort as the tuples of their fields do."""
+    return Struct(f">{2 * m}{'B' if n <= 8 else 'H'}")
 
 
 def _pair_symmetries(

@@ -31,14 +31,19 @@ from unionclosed import (
     ReimerVerdict,
     ResourceLimitError,
     SearchShape,
+    elements_of,
     find_certificate,
     format_set,
+    frankl_check,
+    is_filter,
+    is_union_closed,
     minimal_counterexample,
+    reimer_bound_holds,
     search_counterexamples,
     verify_certificate,
 )
 from unionclosed import certificates
-from unionclosed.cli import main
+from unionclosed.cli import _average, main
 from unionclosed.search import SweepSummary
 
 
@@ -163,6 +168,106 @@ def test_check_json_skips_the_decision_above_its_cap(family_file, capsys):
     fam = family_file("f.json", {"ground": 13, "sets": [[], [1]]})
     assert main(["check", fam, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["certificate"] == {"status": "skipped"}
+
+
+def check_payload(fam):
+    """The check payload, built from the library's verdicts and to_dict."""
+    uc, fl = is_union_closed(fam), is_filter(fam)
+    payload = {
+        "family": fam.to_dict(),
+        "union_closed": {"holds": True},
+        "filter": {"holds": True},
+        "half_element": {"status": "out-of-scope"},
+        "average_size_bound": {"status": "out-of-scope"},
+        "certificate": {"status": "skipped"},
+    }
+    if not uc:
+        a, b = (list(elements_of(m)) for m in uc.witness)
+        union = list(elements_of(uc.witness[0] | uc.witness[1]))
+        payload["union_closed"] = {
+            "holds": False, "witness": {"left": a, "right": b, "union": union}
+        }
+    if not fl:
+        member, missing = (list(elements_of(m)) for m in fl.witness)
+        payload["filter"] = {"holds": False, "witness": {"member": member, "missing": missing}}
+    if fam.members and fam.members != (0,):
+        fr = frankl_check(fam)
+        payload["half_element"] = {
+            "status": "checked", "holds": fr.holds, "element": fr.element, "count": fr.count
+        }
+    if fam.members:
+        re = reimer_bound_holds(fam)
+        payload["average_size_bound"] = {
+            "status": "checked",
+            "holds": re.holds,
+            "average": str(re.average),
+            "threshold": re.threshold,
+        }
+    if fam.ground_size <= certificates.DECISION_CAP:
+        cert = find_certificate(fam)
+        payload["certificate"] = (
+            {"status": "none"} if cert is None
+            else {"status": "found", "certificate": cert.to_dict()}
+        )
+    return payload
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        minimal_counterexample().family,
+        Family(6, tuple(range(1 << 6))),
+        Family(2, (0, 1, 2)),
+        Family(13, (0, 1, 6)),
+        Family(3, ()),
+        Family(3, (0,)),
+    ],
+    ids=["minimal", "power_set_6", "no_certificate", "above_decision_cap", "empty", "empty_set"],
+)
+def test_check_json_is_the_sorted_dict_encoding(fam, tmp_path):
+    # check writes the family and the certificate from per-mask text, as
+    # certify does; its bytes must be those of the whole payload's to_dict
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(fam.to_dict()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["check", str(path), "--json"]) == 0
+    assert out.getvalue() == json.dumps(check_payload(fam), sort_keys=True) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 200), st.integers(0, 12), st.one_of(st.just(0), st.integers(0, 199)))
+def test_printed_average_is_the_fraction_text(m, whole, rest):
+    # check and demo print the average without fractions; the text and the
+    # float must be those of the Fraction, whole-number averages included
+    total = whole * m + rest % m
+    verdict = ReimerVerdict(True, total, m, 0.0)
+    assert verdict.average == Fraction(total, m)
+    assert _average(verdict) == (str(Fraction(total, m)), float(Fraction(total, m)))
+
+
+@pytest.mark.parametrize("command", ["demo", "check", "enumerate"])
+def test_commands_other_than_search_leave_fractions_and_struct_unimported(command, tmp_path):
+    # the average is printed from its total and count; only search packs keys
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(minimal_counterexample().family.to_dict()))
+    argv = {"demo": ["demo"], "check": ["check", str(path)], "enumerate": ["enumerate", "--n", "2"]}
+    program = (
+        "import contextlib, io, sys, unionclosed.cli\n"
+        "for flag in ([], ['--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert unionclosed.cli.main({argv[command]!r} + flag) == 0\n"
+        "loaded = {'fractions', 'decimal', 'struct'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------- certify
@@ -736,7 +841,7 @@ def test_demo_json_round_trips(capsys):
 
 def test_demo_failed_recheck_exits_four(monkeypatch, capsys):
     # the bundled family failing its re-check is a fault, not a negative
-    failing = ReimerVerdict(False, Fraction(0), 1.0)
+    failing = ReimerVerdict(False, 0, 1, 1.0)
     monkeypatch.setattr("unionclosed.cli.reimer_bound_holds", lambda fam: failing)
     assert main(["demo"]) == 4
     captured = capsys.readouterr()

@@ -45,10 +45,16 @@ from unionclosed.search import (
     _canonical_key,
     _certified_codes,
     _filters,
+    _search_reports,
     _skeleton_images,
     _violations,
 )
-from unionclosed.skeleton import _pair_symmetries, _search_solutions, _unit_orbits
+from unionclosed.skeleton import (
+    _key_struct,
+    _pair_symmetries,
+    _search_solutions,
+    _unit_orbits,
+)
 from helpers import (
     all_subsets,
     as_sets,
@@ -395,6 +401,38 @@ def test_search_sorts_as_the_report_list(n, pairs):
     ]
     reports.sort(key=lambda r: (r.family.members, r.certificate.pairs))
     assert search_counterexamples(shape) == reports
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), st.sampled_from([1, 7, 8, 9, 10]), st.integers(1, 13))
+def test_packed_keys_sort_as_their_tuples(data, n, m):
+    # one byte a mask up to n = 8 and two above; every key of a shape has
+    # one length, so the bytes sort as the tuples of their fields
+    field = st.integers(0, (1 << n) - 1)
+    keys = data.draw(st.lists(st.tuples(*[field] * (2 * m)), max_size=30))
+    packer = _key_struct(n, m)
+    assert packer.size == 2 * m * (1 if n <= 8 else 2)
+    packed = [packer.pack(*key) for key in keys]
+    assert [packer.unpack(key) for key in packed] == keys
+    assert sorted(packed) == [packer.pack(*key) for key in sorted(keys)]
+
+
+def test_two_byte_keys_give_the_tuple_key_order():
+    # 1,2:1,3:1,4 at n = 9 packs two bytes a mask; its 49,680 reports come
+    # in the order of tuple keys built straight from the backtrack
+    shape = SearchShape(9, ((1, 2), (1, 3), (1, 4)))
+    images = _skeleton_images(9, shape.missing_pairs)
+    want = sorted(
+        tuple(a for a, _ in pairs) + tuple(f for _, f in pairs)
+        for group in relabeled_groups(9, shape.missing_pairs)
+        for sol in group
+        for pairs in [sorted(zip(sol, images))]
+    )
+    found, built, reports = _search_reports(shape, canonical=False)
+    assert found == built == len(want) == 49680
+    got = (r.family.members + tuple(f for _, f in r.certificate.pairs) for r in reports)
+    for key, expected in itertools.zip_longest(got, want):
+        assert key == expected
 
 
 @pytest.mark.parametrize("n, pairs", GROUPED_SHAPES)
