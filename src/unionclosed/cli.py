@@ -15,14 +15,14 @@ an internal error (a fault of this program, never a verdict), 141 (128 +
 SIGPIPE) when the reader of stdout closes it before the output is
 written. In --json mode each command prints exactly one JSON document on
 stdout; timing notes go to stderr so identical inputs give identical
-stdout bytes. `search` builds, verifies and writes its reports one at a
-time; it and `certify` write certificates from per-mask text, with the
-bytes of json.dumps(..., sort_keys=True) of to_dict. Search stdout is
-cut short only with exit 141 or with exit 4, when a report of the
-program's own fails re-verification. The search runs in one process;
-`search --workers N` is accepted and checked (N >= 1) but changes
-nothing. The search module is imported only by the commands that use it
-(search, demo, enumerate).
+stdout bytes. Every document comes from one writer, _json, with the
+bytes of json.dumps(..., sort_keys=True) of the payload with to_dict,
+joined from per-mask text. `search` builds, verifies and writes its
+reports one at a time; its stdout is cut short only with exit 141 or
+with exit 4, when a report of the program's own fails re-verification.
+The search runs in one process; `search --workers N` is accepted and
+checked (N >= 1) but changes nothing. The search module is imported
+only by the commands that use it (search, demo, enumerate).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from functools import cache
 from itertools import chain, islice, starmap
 from math import gcd
@@ -58,8 +59,6 @@ from .family import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
-
     from .family import ReimerVerdict
     from .search import CounterexampleReport, SearchShape
 
@@ -81,9 +80,63 @@ def _load_data(path: str) -> object:
         raise FamilyFormatError(f"{path} cannot be parsed: {exc}") from exc
 
 
+# The text of each mask and of each (member, image) pair, encoded once. A
+# command writes one document, so the caches hold that document's masks.
+_set_text = cache(lambda m: json.dumps(list(elements_of(m))))
+_pair_text = cache(lambda a, f: f'{{"image": {_set_text(f)}, "set": {_set_text(a)}}}')
+
+
+def _json(value: object) -> Iterator[str]:
+    """The text of json.dumps(value, sort_keys=True) in pieces, where a
+    Family, a Certificate or a CounterexampleReport stands for its to_dict.
+
+    A list or an iterator gives one piece per item, and "[" comes out
+    before the first item is taken, so a report that fails its
+    re-verification leaves only whole reports written.
+    """
+    if isinstance(value, dict):
+        yield "{"
+        sep = ""
+        for key in sorted(value):
+            yield f"{sep}{json.dumps(key)}: "
+            yield from _json(value[key])
+            sep = ", "
+        yield "}"
+    elif isinstance(value, (list, Iterator)):
+        yield "["
+        sep = ""
+        for item in value:
+            yield sep + "".join(_json(item))
+            sep = ", "
+        yield "]"
+    else:
+        yield _text(value)
+
+
+def _text(value: object) -> str:
+    """json.dumps(value, sort_keys=True) for a value _json writes in one
+    piece. Families, certificates and reports are joined from per-mask
+    text rather than built as dict trees: on the power set of [12] those
+    run out of memory first."""
+    if isinstance(value, Family):
+        return f'{{"ground": {value.ground_size}, "sets": [{", ".join(map(_set_text, value))}]}}'
+    if isinstance(value, Certificate):
+        pairs = ", ".join(starmap(_pair_text, value.pairs))
+        return f'{{"ground": {value.ground_size}, "pairs": [{pairs}]}}'
+    if hasattr(value, "max_frequency"):
+        # a CounterexampleReport, told apart without importing search
+        return (
+            f'{{"certificate": {_text(value.certificate)},'
+            f' "family": {_text(value.family)},'
+            f' "frequency": [{", ".join(map(str, value.frequency))}],'
+            f' "max_frequency": {value.max_frequency}}}'
+        )
+    return json.dumps(value, sort_keys=True)
+
+
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print("".join(_json(payload)))
     else:
         for line in lines:
             print(line)
@@ -95,7 +148,7 @@ def _certificate_lines(cert: Certificate) -> list[str]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     fam = Family.from_dict(_load_data(args.family))
-    payload: dict = {}
+    payload: dict = {"family": fam}
     lines = [f"family: {len(fam)} sets over ground size {fam.ground_size}"]
 
     uc = is_union_closed(fam)
@@ -172,13 +225,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f" threshold log2({len(fam)})/2 = {re.threshold:.3f})"
         )
 
-    cert = None
     if fam.ground_size <= DECISION_CAP:
         cert = find_certificate(fam)
         if cert is None:
             payload["certificate"] = {"status": "none"}
             lines.append("interval certificate: none (exhaustive decision)")
         else:
+            payload["certificate"] = {"certificate": cert, "status": "found"}
             lines.append("interval certificate: found")
             if not args.json:
                 lines.extend(_certificate_lines(cert))
@@ -187,19 +240,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines.append(
             f"interval certificate: skipped (decision supported up to ground size {DECISION_CAP})"
         )
-
-    if not args.json:
-        _emit(args, payload, lines)
-        return 0
-    # The family and the certificate go through the per-mask encoders, as in
-    # certify and search: json.dumps of their to_dict runs out of memory
-    # first on the power set of [12].
-    family, certificate = _json_texts()
-    fields = {key: json.dumps(value, sort_keys=True) for key, value in payload.items()}
-    fields["family"] = family(fam)
-    if cert is not None:
-        fields["certificate"] = _found_json(certificate(cert))
-    print("{" + ", ".join(f'"{key}": {fields[key]}' for key in sorted(fields)) + "}")
+    _emit(args, payload, lines)
     return 0
 
 
@@ -221,10 +262,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if cert is None:
         _emit(args, {"status": "none"}, ["no certificate exists (exhaustive decision)"])
         return 1
-    if args.json:
-        print(_found_json(_json_texts()[1](cert)))
-    else:
-        print("certificate: found", *_certificate_lines(cert), sep="\n")
+    lines = [] if args.json else ["certificate: found", *_certificate_lines(cert)]
+    _emit(args, {"certificate": cert, "status": "found"}, lines)
     return 0
 
 
@@ -245,50 +284,13 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _json_texts() -> tuple[Callable[[Family], str], Callable[[Certificate], str]]:
-    """Encoders with the text of json.dumps(..., sort_keys=True) of a
-    family's and of a certificate's to_dict; each mask and pair is encoded
-    once."""
-    text = cache(lambda m: json.dumps(list(elements_of(m))))
-    pair = cache(lambda a, f: f'{{"image": {text(f)}, "set": {text(a)}}}')
-    return (
-        lambda fam: f'{{"ground": {fam.ground_size}, "sets": [{", ".join(map(text, fam))}]}}',
-        lambda c: f'{{"ground": {c.ground_size}, "pairs": [{", ".join(starmap(pair, c.pairs))}]}}',
-    )
-
-
-def _found_json(certificate: str) -> str:
-    """The found-certificate payload of certify and check, given the
-    certificate's text."""
-    return f'{{"certificate": {certificate}, "status": "found"}}'
-
-
 def _average(re: ReimerVerdict) -> tuple[str, float]:
-    """The average member size as str and float of re.average give it,
-    without fractions: the reduced ratio p/q, or p when q is 1."""
+    """The average member size re.total / re.member_count as str and float
+    of its Fraction give it, without fractions: the reduced ratio p/q, or p
+    when q is 1."""
     d = gcd(re.total, re.member_count)
     p, q = re.total // d, re.member_count // d
     return f"{p}/{q}" if q != 1 else str(p), re.total / re.member_count
-
-
-def _search_json(
-    shape: SearchShape, count: int, reports: Iterator[CounterexampleReport]
-) -> Iterator[str]:
-    """json.dumps(payload, sort_keys=True) of {"shape", "count", "reports":
-    [r.to_dict() ...]} over the count reports in pieces, one per report,
-    each taken from the iterator once the piece before it is out."""
-    family, certificate = _json_texts()
-    yield f'{{"count": {count}, "reports": ['
-    sep = ""
-    for r in reports:
-        yield (
-            f'{sep}{{"certificate": {certificate(r.certificate)},'
-            f' "family": {family(r.family)},'
-            f' "frequency": [{", ".join(map(str, r.frequency))}],'
-            f' "max_frequency": {r.max_frequency}}}'
-        )
-        sep = ", "
-    yield f'], "shape": {json.dumps(shape.to_dict(), sort_keys=True)}}}'
 
 
 def _search_lines(
@@ -325,7 +327,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     count = found if args.limit is None else min(found, args.limit)
     listed = islice(reports, count)
     if args.json:
-        pieces = _search_json(shape, count, listed)
+        pieces = _json({"count": count, "reports": listed, "shape": shape.to_dict()})
     else:
         pieces = _search_lines(shape, found, count, listed)
     size = 0
@@ -358,7 +360,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if not re.holds:
         raise RuntimeError("demo family failed re-verification")
     payload = {
-        "report": report.to_dict(),
+        "report": report,
         "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},
         "average_size_bound": {
             "holds": re.holds,
@@ -390,7 +392,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "ground": summary.ground_size,
         "scanned": summary.scanned,
         "certified": summary.certified,
-        "violations": [f.to_dict() for f in summary.violations],
+        "violations": list(summary.violations),
     }
     lines = [
         f"ground size {summary.ground_size}: scanned {summary.scanned} families,"

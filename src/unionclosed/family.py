@@ -9,10 +9,7 @@ I/O boundary; bit positions are 0-based internally.
 from __future__ import annotations
 
 from math import log2
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Iterator, NamedTuple
 
 # Masks must stay well under native word width; 30 also keeps 2**n loops sane.
 MAX_GROUND = 30
@@ -235,15 +232,6 @@ class ReimerVerdict(NamedTuple):
     def __bool__(self) -> bool:
         return self.holds
 
-    @property
-    def average(self) -> Fraction:
-        """The exact average member size, total / member_count."""
-        # Imported here: fractions pulls in decimal, start-up and memory
-        # that no command spends to print the average.
-        from fractions import Fraction
-
-        return Fraction(self.total, self.member_count)
-
 
 def is_union_closed(fam: Family) -> UnionClosureVerdict:
     """Is every pairwise union again a member? Vacuously true when empty.
@@ -309,7 +297,7 @@ def reimer_bound_holds(fam: Family) -> ReimerVerdict:
     With m members of total size T, the bound is equivalent to
     m**m <= 2**(2*T), which is decided in big integers. Floats appear
     only in the reported threshold, never in the verdict. The verdict
-    carries T and m; its average is their Fraction, built on request.
+    carries T and m, whose ratio is the exact average.
     """
     m = len(fam.members)
     if m == 0:

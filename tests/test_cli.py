@@ -200,7 +200,7 @@ def check_payload(fam):
         payload["average_size_bound"] = {
             "status": "checked",
             "holds": re.holds,
-            "average": str(re.average),
+            "average": str(Fraction(re.total, re.member_count)),
             "threshold": re.threshold,
         }
     if fam.ground_size <= certificates.DECISION_CAP:
@@ -242,7 +242,6 @@ def test_printed_average_is_the_fraction_text(m, whole, rest):
     # float must be those of the Fraction, whole-number averages included
     total = whole * m + rest % m
     verdict = ReimerVerdict(True, total, m, 0.0)
-    assert verdict.average == Fraction(total, m)
     assert _average(verdict) == (str(Fraction(total, m)), float(Fraction(total, m)))
 
 
@@ -839,6 +838,25 @@ def test_demo_json_round_trips(capsys):
     assert report.to_dict() == payload["report"]
 
 
+def test_demo_json_is_the_sorted_dict_encoding(capsys):
+    # the report is written from per-mask text; its bytes must be those of
+    # the payload built from the library's verdicts and to_dict
+    report = minimal_counterexample()
+    fr, re = frankl_check(report.family), reimer_bound_holds(report.family)
+    payload = {
+        "report": report.to_dict(),
+        "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},
+        "average_size_bound": {
+            "holds": re.holds,
+            "average": str(Fraction(re.total, re.member_count)),
+            "threshold": re.threshold,
+        },
+        "pairwise_checks": 55,
+    }
+    assert main(["demo", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
+
+
 def test_demo_failed_recheck_exits_four(monkeypatch, capsys):
     # the bundled family failing its re-check is a fault, not a negative
     failing = ReimerVerdict(False, 0, 1, 1.0)
@@ -898,6 +916,26 @@ def test_enumerate_lists_violations_and_exits_one(json_flag, monkeypatch, capsys
     else:
         assert "1 fail the half-element property" in out
         assert "  " + " ".join(format_set(m) for m in bad) + "\n" in out
+
+
+@pytest.mark.parametrize(
+    "violations",
+    [(), (Family(2, (0b01, 0b10, 0b11)),), (Family(2, (0b01, 0b10, 0b11)), Family(2, ()))],
+    ids=["none", "one", "two"],
+)
+def test_enumerate_json_is_the_sorted_dict_encoding(violations, monkeypatch, capsys):
+    # the violations are written from per-mask text; the sweep's own list is
+    # empty at every ground size, so the families are patched in
+    summary = SweepSummary(2, 14, 13, violations)
+    monkeypatch.setattr("unionclosed.search.conjecture_sweep", lambda n: summary)
+    assert main(["enumerate", "--n", "2", "--json"]) == (1 if violations else 0)
+    payload = {
+        "ground": 2,
+        "scanned": 14,
+        "certified": 13,
+        "violations": [f.to_dict() for f in violations],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_enumerate_rejects_large_ground(capsys):
