@@ -37,16 +37,22 @@ from .family import (
     reimer_bound_holds,
 )
 
-# The search module loads on first use of one of its names (PEP 562), so
-# the commands that never search (check, certify) do not compile it. The
-# names above are bound eagerly, so only the search names in __all__ get
-# here.
-def __getattr__(name: str) -> object:
-    if name in __all__:
-        from . import search
+# The search and sweep modules load on first use of one of their names
+# (PEP 562), each from the module that defines it, so a command compiles
+# only the one it runs, and check and certify compile neither. The names
+# above are bound eagerly, so only the search and sweep names in __all__
+# get here.
+_SWEEP_NAMES = ("ENUMERATION_CAP", "SweepSummary", "conjecture_sweep")
 
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str) -> object:
+    if name in _SWEEP_NAMES:
+        from . import sweep as module
+    elif name in __all__:
+        from . import search as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [

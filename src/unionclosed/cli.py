@@ -21,8 +21,9 @@ joined from per-mask text. `search` builds, verifies and writes its
 reports one at a time; its stdout is cut short only with exit 141 or
 with exit 4, when a report of the program's own fails re-verification.
 The search runs in one process; `search --workers N` is accepted and
-checked (N >= 1) but changes nothing. The search module is imported
-only by the commands that use it (search, demo, enumerate).
+checked (N >= 1) but changes nothing. The search, demo and enumerate
+handlers live in searchcli.py, imported only when one of them runs, so
+check and certify compile none of the search side.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ import argparse
 import json
 import os
 import sys
-import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cache
-from itertools import chain, islice, starmap
+from itertools import starmap
 from math import gcd
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -54,13 +54,11 @@ from .family import (
     frankl_check,
     is_filter,
     is_union_closed,
-    mask_from_elements,
     reimer_bound_holds,
 )
 
 if TYPE_CHECKING:
     from .family import ReimerVerdict
-    from .search import CounterexampleReport, SearchShape
 
 
 def _load_data(path: str) -> object:
@@ -267,23 +265,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
-    if not text:
-        return ()
-    pairs = []
-    for chunk in text.split(":"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise FamilyFormatError(
-                f"pair {chunk!r} must be two comma-separated elements, like 1,2"
-            )
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise FamilyFormatError(f"pair {chunk!r} must contain integers") from None
-    return tuple(pairs)
-
-
 def _average(re: ReimerVerdict) -> tuple[str, float]:
     """The average member size re.total / re.member_count as str and float
     of its Fraction give it, without fractions: the reduced ratio p/q, or p
@@ -291,118 +272,6 @@ def _average(re: ReimerVerdict) -> tuple[str, float]:
     d = gcd(re.total, re.member_count)
     p, q = re.total // d, re.member_count // d
     return f"{p}/{q}" if q != 1 else str(p), re.total / re.member_count
-
-
-def _search_lines(
-    shape: SearchShape, found: int, count: int, reports: Iterator[CounterexampleReport]
-) -> Iterator[str]:
-    """The human search listing of count of the found reports, a piece per
-    report; each mask is spelled once."""
-    text = cache(format_set)
-    pairs = " ".join(
-        format_set(mask_from_elements(p, shape.ground_size)) for p in shape.missing_pairs
-    )
-    yield (
-        f"shape: ground size {shape.ground_size}, pairs {pairs or '(none)'}\n"
-        f"counterexamples found: {found}{f' ({count} listed)' if count < found else ''}"
-    )
-    for idx, r in enumerate(reports, start=1):
-        yield (
-            f"\ncounterexample {idx}: {len(r.family)} sets, max frequency {r.max_frequency}"
-            f"\n  {' '.join(map(text, r.family))}"
-        )
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    from .search import SearchShape, _search_reports
-
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
-    shape = SearchShape(args.n, _parse_pairs(args.pairs))
-    started = time.perf_counter()
-    found, built, reports = _search_reports(shape, canonical=args.canonical)
-    elapsed = time.perf_counter() - started
-    print(f"search finished in {elapsed:.1f}s with {found} result(s)", file=sys.stderr)
-    started = time.perf_counter()
-    count = found if args.limit is None else min(found, args.limit)
-    listed = islice(reports, count)
-    if args.json:
-        pieces = _json({"count": count, "reports": listed, "shape": shape.to_dict()})
-    else:
-        pieces = _search_lines(shape, found, count, listed)
-    size = 0
-    for piece in chain(pieces, ["\n"]):
-        sys.stdout.write(piece)
-        size += len(piece.encode())
-    # The exit code claims that the shape admits a family, so the reports
-    # past --limit are built and verified too.
-    for _ in reports:
-        pass
-    sys.stdout.flush()
-    elapsed = time.perf_counter() - started
-    note = f"{built} report(s) built and verified, {size} bytes written in {elapsed:.3f}s"
-    print(note, file=sys.stderr)
-    return 0 if found else 1
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    from .search import minimal_counterexample
-
-    report = minimal_counterexample()
-    fam = report.family
-    cert = report.certificate
-    fr = frankl_check(fam)
-    re = reimer_bound_holds(fam)
-    ratio, average = _average(re)
-    checks = len(cert) * (len(cert) - 1) // 2
-    # The report's constructor has already refused an element in half the
-    # members; a failed re-check is a fault of this program (exit 4).
-    if not re.holds:
-        raise RuntimeError("demo family failed re-verification")
-    payload = {
-        "report": report,
-        "half_element": {"holds": fr.holds, "element": fr.element, "count": fr.count},
-        "average_size_bound": {
-            "holds": re.holds,
-            "average": ratio,
-            "threshold": re.threshold,
-        },
-        "pairwise_checks": checks,
-    }
-    lines = [
-        f"ground size: {fam.ground_size}",
-        f"members: {len(fam)}, paired with their filter images:",
-        *_certificate_lines(cert),
-        f"frequency vector: {report.frequency}",
-        f"max frequency {report.max_frequency} of {len(fam)} members:"
-        " no element reaches half, the half-element property fails",
-        f"average size {ratio} = {average:.3f},"
-        f" threshold log2({len(fam)})/2 = {re.threshold:.3f}: the size bound holds",
-        f"certificate: valid ({checks} pairwise interval checks)",
-    ]
-    _emit(args, payload, lines)
-    return 0
-
-
-def _cmd_enumerate(args: argparse.Namespace) -> int:
-    from .search import conjecture_sweep
-
-    summary = conjecture_sweep(args.n)
-    payload = {
-        "ground": summary.ground_size,
-        "scanned": summary.scanned,
-        "certified": summary.certified,
-        "violations": list(summary.violations),
-    }
-    lines = [
-        f"ground size {summary.ground_size}: scanned {summary.scanned} families,"
-        f" {summary.certified} admit a certificate,"
-        f" {len(summary.violations)} fail the half-element property"
-    ]
-    for f in summary.violations:
-        lines.append("  " + " ".join(format_set(m) for m in f))
-    _emit(args, payload, lines)
-    return 0 if not summary.violations else 1
 
 
 def _limit_arg(text: str) -> int | None:
@@ -415,6 +284,17 @@ def _limit_arg(text: str) -> int | None:
     if value < 0:
         raise argparse.ArgumentTypeError("limit must be nonnegative")
     return value
+
+
+def _searchcli(name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler searchcli.name, imported when its command runs."""
+
+    def run(args: argparse.Namespace) -> int:
+        from . import searchcli
+
+        return getattr(searchcli, name)(args)
+
+    return run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,16 +345,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="keep one representative per relabeling orbit",
     )
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_searchcli("_cmd_search"))
 
     p = sub.add_parser("demo", help="rebuild and verify the eleven-member example")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_cmd_demo)
+    p.set_defaults(func=_searchcli("_cmd_demo"))
 
     p = sub.add_parser("enumerate", help="sweep every family over a tiny ground")
     p.add_argument("--n", type=int, required=True, help="ground set size (1..4)")
     p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_cmd_enumerate)
+    p.set_defaults(func=_searchcli("_cmd_enumerate"))
 
     return parser
 

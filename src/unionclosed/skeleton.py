@@ -34,9 +34,9 @@ image) pairs through each table to reach the rest of the orbit, so this
 module never needs the order the images take after a relabeling.
 
 It is a module of its own, loaded only by the search command, because
-Python compiles each module's source as a whole: demo and enumerate,
-which load search.py, never compile it, and two halves compiled one
-after the other peak lower than one file holding both. For the same
+Python compiles each module's source as a whole: demo, which loads
+search.py, never compiles it, and two halves compiled one after the
+other peak lower than one file holding both. For the same
 reason it holds the struct packing of the search's sort keys, which
 only the search command needs.
 """

@@ -44,7 +44,7 @@ from unionclosed import (
 )
 from unionclosed import certificates
 from unionclosed.cli import _average, main
-from unionclosed.search import SweepSummary
+from unionclosed.sweep import SweepSummary
 
 
 @pytest.fixture()
@@ -658,8 +658,8 @@ def test_startup_leaves_dataclasses_and_search_unimported():
     # check and certify need neither; every package name still resolves
     program = (
         "import sys, unionclosed.cli\n"
-        "loaded = {'dataclasses', 'inspect', 'unionclosed.search', 'unionclosed.skeleton'}"
-        " & set(sys.modules)\n"
+        "loaded = {'dataclasses', 'inspect', 'unionclosed.search', 'unionclosed.skeleton',"
+        " 'unionclosed.sweep', 'unionclosed.searchcli'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
         "import unionclosed\n"
         "for name in unionclosed.__all__:\n"
@@ -676,20 +676,60 @@ def test_startup_leaves_dataclasses_and_search_unimported():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, loaded",
     [
-        pytest.param(["enumerate", "--n", "2", "--json"], id="enumerate"),
-        pytest.param(["demo", "--json"], id="demo"),
+        pytest.param(["check", "F"], 0, set(), id="check"),
+        pytest.param(["certify", "F"], 0, set(), id="certify"),
+        pytest.param(["demo"], 0, {"searchcli", "search"}, id="demo"),
+        pytest.param(
+            ["search", "--n", "6", "--pairs", "1,2"],
+            1,
+            {"searchcli", "search", "skeleton"},
+            id="search",
+        ),
+        pytest.param(["enumerate", "--n", "2"], 0, {"searchcli", "sweep"}, id="enumerate"),
     ],
 )
-def test_enumerate_leaves_the_skeleton_unimported(argv):
-    # only search uses the backtrack module
+def test_each_command_loads_only_its_modules(argv, code, loaded, tmp_path):
+    # every module compiles whole in each process, so check and certify load
+    # none of the search side, demo and search never the sweep, and
+    # enumerate never the structured search
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ground": 3, "sets": [[1], [2], [1, 2]]}))
+    argv = [str(path) if a == "F" else a for a in argv]
     program = (
         "import contextlib, io, sys, unionclosed.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert unionclosed.cli.main({argv!r}) == 0\n"
-        "assert 'unionclosed.search' in sys.modules\n"
-        "sys.exit('unionclosed.skeleton' in sys.modules)"
+        "for flag in ([], ['--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert unionclosed.cli.main({argv!r} + flag) == {code}\n"
+        "print(sorted(m for m in sys.modules if m.startswith('unionclosed.')))\n"
+    )
+    src = str(Path(unionclosed.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {"family", "certificates", "cli"} | loaded
+    assert proc.stdout.strip() == str(sorted(f"unionclosed.{m}" for m in expected))
+
+
+@pytest.mark.parametrize(
+    "name, module, unloaded",
+    [
+        pytest.param("conjecture_sweep", "sweep", "search", id="sweep"),
+        pytest.param("SearchShape", "search", "sweep", id="search"),
+    ],
+)
+def test_package_names_load_only_their_module(name, module, unloaded):
+    # a lazy package name compiles the module that defines it and no other
+    program = (
+        "import sys, unionclosed\n"
+        f"getattr(unionclosed, {name!r})\n"
+        f"assert 'unionclosed.{module}' in sys.modules\n"
+        f"sys.exit('unionclosed.{unloaded}' in sys.modules)\n"
     )
     src = str(Path(unionclosed.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -860,7 +900,7 @@ def test_demo_json_is_the_sorted_dict_encoding(capsys):
 def test_demo_failed_recheck_exits_four(monkeypatch, capsys):
     # the bundled family failing its re-check is a fault, not a negative
     failing = ReimerVerdict(False, 0, 1, 1.0)
-    monkeypatch.setattr("unionclosed.cli.reimer_bound_holds", lambda fam: failing)
+    monkeypatch.setattr("unionclosed.searchcli.reimer_bound_holds", lambda fam: failing)
     assert main(["demo"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -908,7 +948,7 @@ def test_enumerate_lists_violations_and_exits_one(json_flag, monkeypatch, capsys
     # no ground size the sweep reaches has a violation, so one is patched in
     bad = Family(2, (0b01, 0b10, 0b11))
     summary = SweepSummary(2, 14, 13, (bad,))
-    monkeypatch.setattr("unionclosed.search.conjecture_sweep", lambda n: summary)
+    monkeypatch.setattr("unionclosed.sweep.conjecture_sweep", lambda n: summary)
     assert main(["enumerate", "--n", "2", *json_flag]) == 1
     out = capsys.readouterr().out
     if json_flag:
@@ -927,7 +967,7 @@ def test_enumerate_json_is_the_sorted_dict_encoding(violations, monkeypatch, cap
     # the violations are written from per-mask text; the sweep's own list is
     # empty at every ground size, so the families are patched in
     summary = SweepSummary(2, 14, 13, violations)
-    monkeypatch.setattr("unionclosed.search.conjecture_sweep", lambda n: summary)
+    monkeypatch.setattr("unionclosed.sweep.conjecture_sweep", lambda n: summary)
     assert main(["enumerate", "--n", "2", "--json"]) == (1 if violations else 0)
     payload = {
         "ground": 2,

@@ -41,20 +41,14 @@ from unionclosed import (
     search_counterexamples,
     verify_certificate,
 )
-from unionclosed.search import (
-    _canonical_key,
-    _certified_codes,
-    _filters,
-    _search_reports,
-    _skeleton_images,
-    _violations,
-)
+from unionclosed.search import _canonical_key, _search_reports, _skeleton_images
 from unionclosed.skeleton import (
     _key_struct,
     _pair_symmetries,
     _search_solutions,
     _unit_orbits,
 )
+from unionclosed.sweep import _certified_codes, _filters, _violations
 from helpers import (
     all_subsets,
     as_sets,
