@@ -24,11 +24,19 @@ The search runs in one process; `search --workers N` is accepted and
 checked (N >= 1) but changes nothing. The search, demo and enumerate
 handlers live in searchcli.py, imported only when one of them runs, so
 check and certify compile none of the search side.
+
+The command line is parsed from one table, _COMMANDS, which gives each
+command its handler, its positionals, options and flags, and a line of
+help for each; -h or --help, at the top or after a command, prints help
+built from it. The parse takes the forms argparse takes: --opt value or
+--opt=value, options before, between or after the positionals, -- to
+end them, a unique prefix of an option, and the last of a repeated
+option. A usage error prints a usage line and an error line on stderr
+and exits 2. No command loads argparse, gettext or locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -37,6 +45,7 @@ from functools import cache
 from itertools import starmap
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .certificates import (
@@ -132,7 +141,7 @@ def _text(value: object) -> str:
     return json.dumps(value, sort_keys=True)
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _emit(args: SimpleNamespace, payload: dict, lines: list[str]) -> None:
     if args.json:
         print("".join(_json(payload)))
     else:
@@ -144,7 +153,7 @@ def _certificate_lines(cert: Certificate) -> list[str]:
     return [f"  {format_set(a)} -> {format_set(f)}" for a, f in cert.pairs]
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     fam = Family.from_dict(_load_data(args.family))
     payload: dict = {"family": fam}
     lines = [f"family: {len(fam)} sets over ground size {fam.ground_size}"]
@@ -242,7 +251,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: SimpleNamespace) -> int:
     fam = Family.from_dict(_load_data(args.family))
     if args.certificate is not None:
         cert = Certificate.from_dict(_load_data(args.certificate))
@@ -280,93 +289,163 @@ def _limit_arg(text: str) -> int | None:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("limit must be an integer or 'all'") from None
+        raise ValueError("limit must be an integer or 'all'") from None
     if value < 0:
-        raise argparse.ArgumentTypeError("limit must be nonnegative")
+        raise ValueError("limit must be nonnegative")
     return value
 
 
-def _searchcli(name: str) -> Callable[[argparse.Namespace], int]:
-    """The handler searchcli.name, imported when its command runs."""
+# The command line: for each command its handler (a function of this
+# module, or the name of one in searchcli.py, imported only when it runs),
+# a line of help, and its arguments, options first. An argument is (name,
+# convert, default, help): a name with dashes is an option, a flag when
+# convert is None, and a name without is a positional. An argument whose
+# default is _REQUIRED must be given. A handler reads each argument as the
+# attribute named by its name without dashes.
+_REQUIRED = object()
+_JSON = ("--json", None, False, "emit one JSON document")
+_FAMILY = ("family", None, _REQUIRED, "path to a family JSON file")
+_COMMANDS = {
+    "check": (_cmd_check, "run every verdict on one family", _JSON, _FAMILY),
+    "certify": (
+        _cmd_certify,
+        "verify or decide an interval certificate",
+        _JSON,
+        _FAMILY,
+        ("certificate", None, None, "path to a certificate JSON file; omit to search for one"),
+    ),
+    "search": (
+        "_cmd_search",
+        "enumerate counterexamples of a shape",
+        ("--n", int, _REQUIRED, "ground set size"),
+        ("--pairs", str, "", "colon-separated element pairs, like 1,2:3,4"),
+        ("--limit", _limit_arg, None, "emit at most this many reports, or 'all' (the default)"),
+        (
+            "--workers",
+            int,
+            1,
+            "accepted for compatibility (at least 1); the search runs in one process",
+        ),
+        ("--canonical", None, False, "keep one representative per relabeling orbit"),
+        _JSON,
+    ),
+    "demo": ("_cmd_demo", "rebuild and verify the eleven-member example", _JSON),
+    "enumerate": (
+        "_cmd_enumerate",
+        "sweep every family over a tiny ground",
+        ("--n", int, _REQUIRED, "ground set size (1..4)"),
+        _JSON,
+    ),
+}
 
-    def run(args: argparse.Namespace) -> int:
-        from . import searchcli
 
-        return getattr(searchcli, name)(args)
-
-    return run
+class _UsageError(Exception):
+    """A command line the table does not take: (command, message), the
+    command "" for the program itself."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="unionclosed",
-        description="Exact checks and searches for set families over a small ground set.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _is_option(arg: str) -> bool:
+    # as in argparse, "-" and negative numbers are values
+    return arg[:1] == "-" and arg != "-" and not arg[1:].isdigit()
 
-    p = sub.add_parser("check", help="run every verdict on one family")
-    p.add_argument("family", help="path to a family JSON file")
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("certify", help="verify or decide an interval certificate")
-    p.add_argument("family", help="path to a family JSON file")
-    p.add_argument(
-        "certificate",
-        nargs="?",
-        default=None,
-        help="path to a certificate JSON file; omit to search for one",
-    )
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_cmd_certify)
+def _help(command: str) -> list[str]:
+    """The help of command, or of the program for "", from the table: the
+    usage line, a line about it, then one line per argument or command."""
+    words = [f"usage: unionclosed {command}".rstrip(), "[-h]"]
+    rows = [("-h, --help", "show this help message and exit")]
+    if command:
+        _, about, *arguments = _COMMANDS[command]
+        for name, convert, default, text in arguments:
+            if name[0] == "-" and convert:
+                name += " " + name[2:].upper()
+            words.append(name if default is _REQUIRED else f"[{name}]")
+            rows.append((name, text))
+    else:
+        about = "Exact checks and searches for set families over a small ground set."
+        words.append("{" + ",".join(_COMMANDS) + "} ...")
+        rows += [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    width = max(len(name) for name, _ in rows)
+    return [" ".join(words), "", about, "", *(f"  {name:<{width}}  {text}" for name, text in rows)]
 
-    p = sub.add_parser("search", help="enumerate counterexamples of a shape")
-    p.add_argument("--n", type=int, required=True, help="ground set size")
-    p.add_argument(
-        "--pairs",
-        default="",
-        help="colon-separated element pairs, like 1,2:3,4",
-    )
-    p.add_argument(
-        "--limit",
-        type=_limit_arg,
-        default=None,
-        help="emit at most this many reports, or 'all' (the default)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility (at least 1); the search runs in one process",
-    )
-    p.add_argument(
-        "--canonical",
-        action="store_true",
-        help="keep one representative per relabeling orbit",
-    )
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_searchcli("_cmd_search"))
 
-    p = sub.add_parser("demo", help="rebuild and verify the eleven-member example")
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_searchcli("_cmd_demo"))
+def _print_help(command: str) -> int:
+    print("\n".join(_help(command)))
+    return 0
 
-    p = sub.add_parser("enumerate", help="sweep every family over a tiny ground")
-    p.add_argument("--n", type=int, required=True, help="ground set size (1..4)")
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.set_defaults(func=_searchcli("_cmd_enumerate"))
 
-    return parser
+def _parse(argv: list[str]) -> tuple[Callable | str, object]:
+    """The handler of a command line and what it is called with, by the
+    table; -h or --help gives _print_help and the command. As argparse
+    does, this takes --opt value and --opt=value, options before, between
+    or after positionals, -- to end them, a unique prefix of an option, and
+    the last of a repeated option. Raises _UsageError for anything else."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else ""
+    handler, _, *arguments = _COMMANDS.get(command, (None, None))
+    values, options, positionals, given = {}, {}, [], []
+    for name, convert, default, _ in arguments:
+        values[name.strip("-")] = default
+        if name[0] == "-":
+            options[name] = convert
+        else:
+            positionals.append(name)
+    rest = iter(argv[1:] if command else argv)
+    for arg in rest:
+        if arg == "--":
+            given += rest
+        elif not _is_option(arg):
+            given.append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in options:
+                matches = [option for option in [*options, "--help"] if option.startswith(name)]
+                if name == "-h" or matches == ["--help"]:
+                    return _print_help, command
+                if len(matches) != 1:
+                    raise _UsageError(command, "unrecognized arguments: " + arg)
+                name = matches[0]
+            convert = options[name]
+            if convert is None:
+                if eq:
+                    message = f"argument {name}: ignored explicit argument {value!r}"
+                    raise _UsageError(command, message)
+                value = True
+            else:
+                if not eq:
+                    value = next(rest, "--")
+                    if _is_option(value):
+                        raise _UsageError(command, f"argument {name}: expected one argument")
+                try:
+                    value = convert(value)
+                except ValueError as exc:
+                    raise _UsageError(command, f"argument {name}: {exc}") from None
+            values[name[2:]] = value
+    if not command:
+        message = f"invalid command: {given[0]!r}" if given else "a command is required"
+        raise _UsageError("", message)
+    if len(given) > len(positionals):
+        extra = " ".join(given[len(positionals) :])
+        raise _UsageError(command, "unrecognized arguments: " + extra)
+    values.update(zip(positionals, given))
+    missing = [name for name, _, _, _ in arguments if values[name.strip("-")] is _REQUIRED]
+    if missing:
+        raise _UsageError(command, "the following arguments are required: " + ", ".join(missing))
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        print(_help(command)[0], "error: " + message, sep="\n", file=sys.stderr)
+        return 2
     try:
-        code = args.func(args)
+        if isinstance(handler, str):
+            from . import searchcli
+
+            handler = getattr(searchcli, handler)
+        code = handler(args)
         # Flushed here so that a reader gone early is caught below.
         sys.stdout.flush()
         return code

@@ -1,15 +1,15 @@
 """The search, demo and enumerate commands.
 
-cli.py parses the arguments and imports this module only when one of
-these commands runs, so check and certify do not compile it. Each
-handler imports what it runs when it is called: search and demo load
-search.py, enumerate loads sweep.py and never the structured search.
-Their documents go through cli.py's one JSON writer.
+cli.py parses the arguments from its command table, which names these
+handlers, and imports this module only when one of them runs, so check
+and certify do not compile it. Each handler imports what it runs when it
+is called: search and demo load search.py, enumerate loads sweep.py and
+never the structured search. Their documents go through cli.py's one
+JSON writer.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections.abc import Iterator
@@ -27,6 +27,8 @@ from .family import (
 )
 
 if TYPE_CHECKING:
+    from types import SimpleNamespace
+
     from .search import CounterexampleReport, SearchShape
 
 
@@ -67,7 +69,7 @@ def _search_lines(
         )
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     from .search import SearchShape, _search_reports
 
     if args.workers < 1:
@@ -99,7 +101,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if found else 1
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _cmd_demo(args: SimpleNamespace) -> int:
     from .search import minimal_counterexample
 
     report = minimal_counterexample()
@@ -138,7 +140,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: SimpleNamespace) -> int:
     from .sweep import conjecture_sweep
 
     summary = conjecture_sweep(args.n)

@@ -688,12 +688,16 @@ def test_startup_leaves_dataclasses_and_search_unimported():
             id="search",
         ),
         pytest.param(["enumerate", "--n", "2"], 0, {"searchcli", "sweep"}, id="enumerate"),
+        pytest.param(["search", "--help"], 0, set(), id="help"),
+        pytest.param(["search", "--n", "x"], 2, set(), id="usage"),
     ],
 )
 def test_each_command_loads_only_its_modules(argv, code, loaded, tmp_path):
     # every module compiles whole in each process, so check and certify load
     # none of the search side, demo and search never the sweep, and
-    # enumerate never the structured search
+    # enumerate never the structured search; help and usage errors load no
+    # handler's module, and the table parser never loads argparse, with its
+    # gettext and locale
     path = tmp_path / "f.json"
     path.write_text(json.dumps({"ground": 3, "sets": [[1], [2], [1, 2]]}))
     argv = [str(path) if a == "F" else a for a in argv]
@@ -702,6 +706,8 @@ def test_each_command_loads_only_its_modules(argv, code, loaded, tmp_path):
         "for flag in ([], ['--json']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         f"        assert unionclosed.cli.main({argv!r} + flag) == {code}\n"
+        "parser = {'argparse', 'gettext', 'locale'} & set(sys.modules)\n"
+        "assert not parser, sorted(parser)\n"
         "print(sorted(m for m in sys.modules if m.startswith('unionclosed.')))\n"
     )
     src = str(Path(unionclosed.__file__).resolve().parents[1])
@@ -842,7 +848,8 @@ def test_search_rejects_zero_workers(capsys):
 
 
 def test_search_rejects_negative_limit(capsys):
-    assert main(["search", "--n", "8", "--limit", "-1"]) == 2
+    error = usage_error(["search", "--n", "8", "--limit", "-1"], capsys)
+    assert error.endswith("argument --limit: limit must be nonnegative")
 
 
 def test_search_limit_all_is_no_limit(capsys):
@@ -854,8 +861,8 @@ def test_search_limit_all_is_no_limit(capsys):
 
 
 def test_search_rejects_a_non_integer_limit(capsys):
-    assert main(["search", "--n", "8", "--limit", "abc"]) == 2
-    assert "limit must be an integer or 'all'" in capsys.readouterr().err
+    error = usage_error(["search", "--n", "8", "--limit", "abc"], capsys)
+    assert "limit must be an integer or 'all'" in error
 
 
 # ------------------------------------------------------------------ demo
@@ -996,19 +1003,136 @@ def test_enumerate_rejects_ground_beyond_max(capsys):
 
 
 def test_enumerate_has_no_workers_option(capsys):
-    assert main(["enumerate", "--n", "2", "--workers", "2"]) == 2
+    error = usage_error(["enumerate", "--n", "2", "--workers", "2"], capsys)
+    assert error.endswith("unrecognized arguments: --workers")
 
 
 # ----------------------------------------------------------------- misc
 
 
+def usage_error(argv, capsys):
+    """The error line of main(argv), which must be a usage error: exit 2, a
+    usage line and an error line on stderr, nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    command = argv[0] if argv and argv[0] in COMMANDS else ""
+    assert usage.startswith(f"usage: unionclosed {command}".rstrip() + " [-h]")
+    assert error.startswith("error: ")
+    return error
+
+
+COMMANDS = ("check", "certify", "search", "demo", "enumerate")
+
+
 def test_no_arguments_is_a_usage_error(capsys):
-    assert main([]) == 2
+    assert usage_error([], capsys) == "error: a command is required"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the other usage errors: no command, a negative or non-integer
+        # --limit and enumerate --workers, each in a test of its own above
+        pytest.param(["bogus"], "invalid command: 'bogus'", id="command"),
+        pytest.param(["--json", "demo"], "unrecognized arguments: --json", id="before-command"),
+        pytest.param(["demo", "--bogus"], "unrecognized arguments: --bogus", id="option"),
+        pytest.param(["search", "-n", "8"], "unrecognized arguments: -n", id="short-option"),
+        pytest.param(["search", "--n"], "argument --n: expected one argument", id="value"),
+        pytest.param(
+            ["search", "--n", "8", "--pairs", "--json"],
+            "argument --pairs: expected one argument",
+            id="option-for-value",
+        ),
+        pytest.param(["search", "--pairs", "1,2"], "required: --n", id="search-n"),
+        pytest.param(["enumerate", "--json"], "required: --n", id="enumerate-n"),
+        pytest.param(["certify"], "required: family", id="family"),
+        pytest.param(["search", "--n", "x"], "argument --n: invalid literal for int()", id="n"),
+        pytest.param(["enumerate", "--n="], "argument --n: invalid literal for int()", id="n-empty"),
+        pytest.param(
+            ["search", "--n", "8", "--workers", "two"],
+            "argument --workers: invalid literal for int() with base 10: 'two'",
+            id="workers",
+        ),
+        pytest.param(["search", "--n", "8", "extra"], "unrecognized arguments: extra", id="extra"),
+        pytest.param(["check", "a", "b"], "unrecognized arguments: b", id="check-extra"),
+        pytest.param(["certify", "a", "b", "c"], "unrecognized arguments: c", id="certify-extra"),
+        pytest.param(["demo", "--", "--json"], "unrecognized arguments: --json", id="after-dashes"),
+        pytest.param(
+            ["demo", "--json=1"], "argument --json: ignored explicit argument '1'", id="flag-value"
+        ),
+    ],
+)
+def test_usage_errors_exit_two_with_usage_on_stderr(argv, message, capsys):
+    assert message in usage_error(argv, capsys)
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "unionclosed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        pytest.param([], COMMANDS, id="top"),
+        pytest.param(["check"], ["family", "--json"], id="check"),
+        pytest.param(["certify", "f.json"], ["family", "certificate", "--json"], id="certify"),
+        pytest.param(
+            ["search", "--n", "8"],
+            ["--n", "--pairs", "--limit", "--workers", "--canonical", "--json"],
+            id="search",
+        ),
+        pytest.param(["demo"], ["--json"], id="demo"),
+        pytest.param(["enumerate", "--json"], ["--n", "--json"], id="enumerate"),
+    ],
+)
+def test_help_names_every_option(argv, names, flag, capsys):
+    # help wins over the rest of the line and gives each name a row
+    assert main([*argv, flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    usage, *lines = captured.out.splitlines()
+    assert usage.startswith(" ".join(["usage: unionclosed", *argv[:1], "[-h]"]))
+    rows = {line.split()[0] for line in lines if line.startswith("  ")}
+    assert rows >= {"-h,", *names}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["search", "--n=8", "--pairs=1,2:3,4", "--json"], id="equals"),
+        pytest.param(["search", "--n", "8", "--pai", "1,2:3,4", "--js"], id="prefix"),
+        pytest.param(["search", "--json", "--n", "8", "--pairs", "1,2:3,4"], id="after-json"),
+        pytest.param(
+            ["search", "--n", "6", "--pairs", "1,2", "--json", "--n", "8", "--pairs=1,2:3,4"],
+            id="last-wins",
+        ),
+    ],
+)
+def test_argument_spellings_print_the_same_bytes(argv, capsys):
+    assert main(["search", "--n", "8", "--pairs", "1,2:3,4", "--json"]) == 0
+    canonical = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == canonical
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "F", "C", "--json"],
+        ["certify", "--json", "F", "C"],
+        ["certify", "F", "--json", "C"],
+        ["certify", "--js", "--", "F", "C"],
+    ],
+    ids=["after", "before", "between", "dashes"],
+)
+def test_certify_takes_its_options_anywhere(argv, minimal_files, capsys):
+    fam, cert = minimal_files
+    assert main([{"F": fam, "C": cert}.get(a, a) for a in argv]) == 0
+    assert capsys.readouterr().out == '{"valid": true}\n'
 
 
 class _ClosedPipe:
